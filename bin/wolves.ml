@@ -1227,21 +1227,14 @@ let lint_cmd =
 
 module Flow = Wolves_analysis.Flow
 module Annot = Wolves_analysis.Annot
-module Labels = Wolves_graph.Labels
 
 (* The static dependency analyses (fine-grained flow over [deps]
    annotations) surfaced as a focused command: the annotation rules of the
-   lint engine, plus label-index diagnostics and annotation inference. *)
+   lint engine, plus annotation inference. *)
 let analyze_cmd =
   let files_arg =
     Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE"
            ~doc:"Workflow documents to analyse ($(b,.wf) DSL or MoML).")
-  in
-  let labels_flag =
-    Arg.(value & flag & info [ "labels" ]
-           ~doc:"Build the reachability label index (rank + dominator \
-                 intervals + chains), cross-validate it against the dense \
-                 closure and report its size.")
   in
   let infer_flag =
     Arg.(value & flag & info [ "infer" ]
@@ -1295,7 +1288,7 @@ let analyze_cmd =
     [ "spec/annotation-inconsistent"; "spec/annotation-incomplete";
       "spec/dead-data"; "view/hidden-dependency" ]
   in
-  let run files labels infer sarif json color metrics trace domains =
+  let run files infer sarif json color metrics trace domains =
     with_domains domains @@ fun () ->
     let config =
       { Lint.default_config with Lint.rules = Some analysis_rules }
@@ -1305,20 +1298,10 @@ let analyze_cmd =
         (fun (view, source) ->
           let spec = View.spec view in
           let diagnostics = Lint.run ~config ~file ?source view in
-          let label_report =
-            if not labels then None
-            else begin
-              let index = Spec.labels spec in
-              let disagreement =
-                Labels.cross_validate index (Spec.reach spec)
-              in
-              Some (index, disagreement)
-            end
-          in
           let inferred =
             if infer then Some (Annot.infer spec) else None
           in
-          (file, spec, diagnostics, label_report, inferred))
+          (file, spec, diagnostics, inferred))
         (load file)
     in
     let result =
@@ -1333,33 +1316,16 @@ let analyze_cmd =
     match Result.map List.rev result with
     | Error msg -> fail "%s" msg
     | Ok rows ->
-      let diagnostics = List.concat_map (fun (_, _, ds, _, _) -> ds) rows in
+      let diagnostics = List.concat_map (fun (_, _, ds, _) -> ds) rows in
       Option.iter
         (fun path -> write_file path (Sarif.report diagnostics))
         sarif;
-      let labels_ok =
-        List.for_all
-          (fun (_, _, _, lr, _) ->
-            match lr with Some (_, Some _) -> false | _ -> true)
-          rows
-      in
       if json then begin
-        let row_json (file, spec, ds, label_report, inferred) =
+        let row_json (file, spec, ds, inferred) =
           Json.Obj
             (List.concat
                [ [ ("file", Json.String file);
                    ("diagnostics", Lint.to_json ds) ];
-                 (match label_report with
-                  | None -> []
-                  | Some (index, disagreement) ->
-                    [ ( "labels",
-                        Json.Obj
-                          [ ("tasks", Json.Int (Labels.graph_size index));
-                            ("chains", Json.Int (Labels.n_chains index));
-                            ( "index_words",
-                              Json.Int (Labels.index_words index) );
-                            ( "agrees_with_closure",
-                              Json.Bool (disagreement = None) ) ] ) ]);
                  (match inferred with
                   | None -> []
                   | Some result ->
@@ -1398,25 +1364,8 @@ let analyze_cmd =
       end
       else begin
         List.iter
-          (fun (file, spec, ds, label_report, inferred) ->
+          (fun (file, spec, ds, inferred) ->
             if ds <> [] then print_string (Lint.to_terminal ~color ds);
-            (match label_report with
-             | None -> ()
-             | Some (index, disagreement) ->
-               (match disagreement with
-                | None ->
-                  Printf.printf
-                    "%s: label index over %d tasks: %d chains, %d words, \
-                     agrees with the dense closure\n"
-                    file (Labels.graph_size index) (Labels.n_chains index)
-                    (Labels.index_words index)
-                | Some (u, v) ->
-                  Printf.printf
-                    "%s: LABEL INDEX DISAGREES with the closure on tasks \
-                     (%s, %s)\n"
-                    file
-                    (Spec.task_name spec u)
-                    (Spec.task_name spec v)));
             match inferred with
             | None -> ()
             | Some result ->
@@ -1433,19 +1382,17 @@ let analyze_cmd =
               end)
           rows
       end;
-      if Lint.errors diagnostics > 0 || not labels_ok then exit 1 else `Ok ()
+      if Lint.errors diagnostics > 0 then exit 1 else `Ok ()
   in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:
          "Static dependency analysis over $(b,deps) annotations: validate \
           them (inconsistent or incomplete entries), detect dead-data \
-          edges and hidden dependencies concealed by composites, \
-          cross-validate the reachability label index ($(b,--labels)) and \
+          edges and hidden dependencies concealed by composites, and \
           infer minimal missing annotations ($(b,--infer)). Exits 1 when \
-          any error-severity diagnostic remains or a label index \
-          disagrees with the closure.")
-    Term.(ret (const run $ files_arg $ labels_flag $ infer_flag $ sarif_arg
+          any error-severity diagnostic remains.")
+    Term.(ret (const run $ files_arg $ infer_flag $ sarif_arg
                $ json_arg $ color_arg $ metrics_arg $ trace_arg
                $ domains_arg))
 
@@ -2021,17 +1968,20 @@ let serve_cmd =
           | Some (oc, close) -> if close then close_out_noerr oc
           | None -> ()
         in
+        (* Handlers go in before the listener exists, so a signal that
+           arrives as soon as the socket answers still drains. *)
+        let signalled = Atomic.make false in
+        List.iter
+          (fun s ->
+            try Sys.set_signal s
+                  (Sys.Signal_handle (fun _ -> Atomic.set signalled true))
+            with Invalid_argument _ | Sys_error _ -> ())
+          [ Sys.sigint; Sys.sigterm ];
         with_metrics metrics (fun () ->
             match Srv.start ~config listen service with
             | exception Invalid_argument msg -> fail "%s" msg
             | Error msg -> fail "%s" msg
             | Ok server ->
-              List.iter
-                (fun s ->
-                  try Sys.set_signal s
-                        (Sys.Signal_handle (fun _ -> Srv.request_stop server))
-                  with Invalid_argument _ | Sys_error _ -> ())
-                [ Sys.sigint; Sys.sigterm ];
               let where =
                 match Srv.address server with
                 | Some (Unix.ADDR_INET (a, p)) ->
@@ -2047,7 +1997,7 @@ let serve_cmd =
               (* SIGINT/SIGTERM flip the flag; everything else — drain,
                  join, unlink, metrics flush — happens here, in signal-free
                  context. *)
-              while not (Srv.stop_requested server) do
+              while not (Atomic.get signalled || Srv.stop_requested server) do
                 try Unix.sleepf 0.2
                 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
               done;
@@ -2074,7 +2024,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Long-running provenance query service: load a corpus once, pin \
-          closure + label indexes, and answer \
+          its reachability indexes, and answer \
           validate/correct/query/lint/analyze requests concurrently over a \
           line protocol (see docs/PROTOCOL.md). Bounded admission queue \
           with $(b,OVERLOADED) load-shedding, per-connection timeouts, \

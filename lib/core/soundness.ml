@@ -10,24 +10,7 @@ module Par = Wolves_par.Par
    into. *)
 let m_subset_checks = Obs.counter "soundness.subset_checks"
 let m_witness_scans = Obs.counter "soundness.witness_scans"
-let m_label_probe = Obs.counter "analysis.label_probe"
 let t_validate = Obs.timer "soundness.validate"
-
-type engine = [ `Closure | `Labels ]
-
-(* Both engines answer the same reflexive-reachability question; `Closure
-   reads the dense bitset closure, `Labels the O(V·k) chain/dominator/rank
-   label index. Each forces (and caches) its index inside the spec on first
-   use. *)
-let prober spec = function
-  | `Closure ->
-    let r = Spec.reach spec in
-    fun u v -> Reach.reaches r u v
-  | `Labels ->
-    let l = Spec.labels spec in
-    fun u v ->
-      Obs.incr m_label_probe;
-      Wolves_graph.Labels.reaches l u v
 
 type io = {
   inputs : Spec.task list;
@@ -47,22 +30,22 @@ let subset_io spec set =
     (List.rev (Bitset.elements set));
   { inputs = !inputs; outputs = !outputs }
 
-let subset_sound ?(engine = `Closure) spec set =
+let subset_sound spec set =
   Obs.incr m_subset_checks;
-  let reaches = prober spec engine in
+  let r = Spec.reach spec in
   let { inputs; outputs } = subset_io spec set in
   List.for_all
-    (fun ti -> List.for_all (fun to_ -> reaches ti to_) outputs)
+    (fun ti -> List.for_all (fun to_ -> Reach.reaches r ti to_) outputs)
     inputs
 
-let subset_witnesses ?(engine = `Closure) spec set =
+let subset_witnesses spec set =
   Obs.incr m_witness_scans;
-  let reaches = prober spec engine in
+  let r = Spec.reach spec in
   let { inputs; outputs } = subset_io spec set in
   List.concat_map
     (fun ti ->
       List.filter_map
-        (fun to_ -> if reaches ti to_ then None else Some (ti, to_))
+        (fun to_ -> if Reach.reaches r ti to_ then None else Some (ti, to_))
         outputs)
     inputs
 
@@ -130,18 +113,17 @@ let member_set view c =
 
 let composite_io view c = subset_io (View.spec view) (member_set view c)
 
-let composite_sound ?engine view c =
-  subset_sound ?engine (View.spec view) (member_set view c)
+let composite_sound view c = subset_sound (View.spec view) (member_set view c)
 
-let composite_witnesses ?engine view c =
-  subset_witnesses ?engine (View.spec view) (member_set view c)
+let composite_witnesses view c =
+  subset_witnesses (View.spec view) (member_set view c)
 
 type report = {
   view : View.t;
   unsound : (View.composite * (Spec.task * Spec.task) list) list;
 }
 
-let validate ?domains ?(engine = `Closure) view =
+let validate ?domains view =
   let domains =
     match domains with Some d -> d | None -> Par.default_domains ()
   in
@@ -155,24 +137,22 @@ let validate ?domains ?(engine = `Closure) view =
     if domains <= 1 || Array.length composites < 2 then
       List.filter_map
         (fun c ->
-          match composite_witnesses ~engine view c with
+          match composite_witnesses view c with
           | [] -> None
           | witnesses -> Some (c, witnesses))
         (View.composites view)
     else begin
       (* Composites are independent: each check only reads the spec and its
-         reachability index. Force the engine's lazy index before farming so
+         reachability index. Force the spec's lazy closure before farming so
          workers never race on its initialisation, and give each job a
          metrics shard so its counters don't race on the shared records.
          [map_ordered] keeps the report in composite order; merging shards
          in that same order keeps the registry deterministic. *)
-      (match engine with
-       | `Closure -> ignore (Spec.reach (View.spec view))
-       | `Labels -> ignore (Spec.labels (View.spec view)));
+      ignore (Spec.reach (View.spec view));
       let results =
         Par.map_ordered ~domains
           (fun c ->
-            Obs.with_new_shard (fun () -> composite_witnesses ~engine view c))
+            Obs.with_new_shard (fun () -> composite_witnesses view c))
           composites
       in
       Array.iter (fun (_, sh) -> Obs.merge_shard sh) results;

@@ -24,22 +24,13 @@ val subset_io : Spec.t -> Wolves_graph.Bitset.t -> io
 (** [T.in]/[T.out] of an arbitrary task subset (Def 2.2), capacity =
     [Spec.n_tasks]. *)
 
-type engine = [ `Closure | `Labels ]
-(** Which reachability index answers the soundness probes: the dense bitset
-    closure ([Spec.reach]) or the compact chain/dominator/rank label index
-    ([Spec.labels], {!Wolves_graph.Labels}). Both are exact — the label
-    backend is property-tested to agree with the closure on every generator
-    family — but trade differently: the closure costs O(V²/w) space and
-    O(V·E/w) build, labels O(V·k) space and O(E·k) build for [k] chains.
-    Label probes are counted into [analysis.label_probe]. *)
-
-val subset_sound :
-  ?engine:engine -> Spec.t -> Wolves_graph.Bitset.t -> bool
+val subset_sound : Spec.t -> Wolves_graph.Bitset.t -> bool
 (** Is the subset sound as a composite task (Def 2.3)? Singletons and the
-    full task set are always sound. Default engine: [`Closure]. *)
+    full task set are always sound. Probes the spec's closure
+    ([Spec.reach]). *)
 
 val subset_witnesses :
-  ?engine:engine -> Spec.t -> Wolves_graph.Bitset.t -> (Spec.task * Spec.task) list
+  Spec.t -> Wolves_graph.Bitset.t -> (Spec.task * Spec.task) list
 (** The violating pairs: [(ti, to)] with [ti ∈ in], [to ∈ out] and no path
     [ti ⇝ to]. Empty iff the subset is sound. *)
 
@@ -68,10 +59,10 @@ val minimal_unsound_core : Spec.t -> Wolves_graph.Bitset.t -> Wolves_graph.Bitse
 
 val composite_io : View.t -> View.composite -> io
 
-val composite_sound : ?engine:engine -> View.t -> View.composite -> bool
+val composite_sound : View.t -> View.composite -> bool
 
 val composite_witnesses :
-  ?engine:engine -> View.t -> View.composite -> (Spec.task * Spec.task) list
+  View.t -> View.composite -> (Spec.task * Spec.task) list
 
 (** Result of validating a whole view. *)
 type report = {
@@ -80,17 +71,15 @@ type report = {
       (** Unsound composites with their violating pairs, by composite id. *)
 }
 
-val validate : ?domains:int -> ?engine:engine -> View.t -> report
+val validate : ?domains:int -> View.t -> report
 (** Check every composite (Proposition 2.1). Polynomial: one reachability
-    index build plus O(Σ |T.in|·|T.out|) probes; [engine] picks the index
-    (default [`Closure]).
+    index build plus O(Σ |T.in|·|T.out|) probes.
 
     Composite checks are independent, so with [domains] above 1 (default
     [Wolves_par.Par.default_domains]) they are farmed across a domain pool:
-    the engine's index is forced up front, each worker records its metrics
-    into a per-domain shard merged back in composite order, and the report
-    is identical to the sequential one at every domain count and under
-    either engine. *)
+    the closure is forced up front, each worker records its metrics into a
+    per-domain shard merged back in composite order, and the report is
+    identical to the sequential one at every domain count. *)
 
 val is_sound : View.t -> bool
 

@@ -31,9 +31,7 @@ val dominates : t -> int -> int -> bool
 val tree_intervals : t -> int array * int array
 (** [(pre, post)] DFS numbers of the dominator tree, excluding the virtual
     root: [d] dominates [v] iff [pre.(d) <= pre.(v) && post.(v) <= post.(d)]
-    — the O(1) form of {!dominates}, used by the reachability label index
-    ([d] dominating [v] implies [d] reaches [v], since some root-to-[v] path
-    exists and every one passes through [d]). *)
+    — the O(1) form of {!dominates} for callers that test many pairs. *)
 
 val common : t -> int list -> int option
 (** The nearest common dominator of a non-empty node list; [None] when it is

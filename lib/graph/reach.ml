@@ -3,9 +3,7 @@ module Par = Wolves_par.Par
 type t = {
   n : int;
   rows : Bitset.t array; (* rows.(v) = descendants of v, v included *)
-  mutable trans : Bitset.t array option;
-      (* trans.(v) = ancestors of v, v included; built on first ancestor
-         query (the transposed closure), then shared by every query *)
+  trans : Bitset.t array; (* trans.(v) = ancestors of v, v included *)
 }
 
 (* Longest-path level of every node counted from the sinks: level v =
@@ -47,23 +45,23 @@ let fill_row g rows v =
     Bitset.union_many_into ~into:row
       (Array.of_list (List.map (fun w -> rows.(w)) succs))
 
-let compute_dag g order =
+(* The closure rows of [g] given a topological [order]: filled
+   sequentially in reverse topological order (every successor row is
+   already final), or one longest-path level at a time across the pool. *)
+let dag_rows g order =
   let n = Digraph.n_nodes g in
   let rows = Array.init n (fun _ -> Bitset.create n) in
   if Par.default_domains () <= 1 then
-    (* In reverse topological order every successor row is already final. *)
     List.iter (fun v -> fill_row g rows v) (List.rev order)
-  else begin
-    let buckets = level_buckets g order in
+  else
     Array.iter
       (fun nodes ->
         Par.parallel_for (Array.length nodes) (fun i ->
             fill_row g rows nodes.(i)))
-      buckets
-  end;
-  { n; rows; trans = None }
+      (level_buckets g order);
+  rows
 
-let compute_general g =
+let general_rows g =
   let n = Digraph.n_nodes g in
   let dag, comp = Algo.condensation g in
   let comp_order =
@@ -73,17 +71,7 @@ let compute_general g =
   in
   (* Closure over components, then expanded to member nodes. *)
   let count = Digraph.n_nodes dag in
-  let comp_rows = Array.init count (fun _ -> Bitset.create count) in
-  if Par.default_domains () <= 1 then
-    List.iter (fun c -> fill_row dag comp_rows c) (List.rev comp_order)
-  else begin
-    let buckets = level_buckets dag comp_order in
-    Array.iter
-      (fun nodes ->
-        Par.parallel_for (Array.length nodes) (fun i ->
-            fill_row dag comp_rows nodes.(i)))
-      buckets
-  end;
+  let comp_rows = dag_rows dag comp_order in
   let members = Array.make count [] in
   for v = n - 1 downto 0 do
     members.(comp.(v)) <- v :: members.(comp.(v))
@@ -97,17 +85,26 @@ let compute_general g =
      sharing is an internal memory optimisation only: every accessor either
      reads the rows or hands out copies, so the aliasing cannot be observed
      (see the [descendants] ownership contract in the interface). *)
-  { n; rows = Array.init n (fun v -> expanded.(comp.(v))); trans = None }
+  Array.init n (fun v -> expanded.(comp.(v)))
 
+(* The ancestor rows are the closure of the reversed graph, built by the
+   same kernel as the descendant rows: a topological order of [g] read
+   backwards is one of its transpose. *)
 let compute g =
-  match Algo.topological_sort g with
-  | Some order -> compute_dag g order
-  | None -> compute_general g
+  let back = Digraph.transpose g in
+  let rows, trans =
+    match Algo.topological_sort g with
+    | Some order -> (dag_rows g order, dag_rows back (List.rev order))
+    | None -> (general_rows g, general_rows back)
+  in
+  { n = Digraph.n_nodes g; rows; trans }
 
 let graph_size r = r.n
 
 let equal a b =
-  a.n = b.n && Array.for_all2 Bitset.equal a.rows b.rows
+  a.n = b.n
+  && Array.for_all2 Bitset.equal a.rows b.rows
+  && Array.for_all2 Bitset.equal a.trans b.trans
 
 let check r v =
   if v < 0 || v >= r.n then
@@ -133,33 +130,14 @@ let union_descendants_into r ~into v =
   check r v;
   Bitset.union_into ~into r.rows.(v)
 
-(* The transposed closure, built lazily on the first ancestor query:
-   trans.(v) collects every u whose row contains v, so each subsequent
-   query is one row read instead of an O(n) scan over all rows. Built from
-   the forward rows in one pass over the set bits (O(closure edges)). Not
-   safe to trigger concurrently from several domains — the parallel
-   drivers query reachability only forward, and single-domain callers
-   (queries, provenance stores) are the ancestor users. *)
-let transposed r =
-  match r.trans with
-  | Some t -> t
-  | None ->
-    let t = Array.init r.n (fun _ -> Bitset.create r.n) in
-    for u = 0 to r.n - 1 do
-      Bitset.iter (fun v -> Bitset.add t.(v) u) r.rows.(u)
-    done;
-    r.trans <- Some t;
-    t
-
 let ancestors r v =
   check r v;
-  Bitset.copy (transposed r).(v)
+  Bitset.copy r.trans.(v)
 
 let ancestors_of_set r set =
-  let t = transposed r in
   let result = Bitset.create r.n in
   Bitset.union_many_into ~into:result
-    (Array.of_list (List.map (fun v -> t.(v)) (Bitset.elements set)));
+    (Array.of_list (List.map (fun v -> r.trans.(v)) (Bitset.elements set)));
   result
 
 let descendants_of_set r set =

@@ -1,4 +1,4 @@
-(** Reachability indexes: reflexive–transitive closure of a {!Digraph}.
+(** The reachability index: reflexive–transitive closure of a {!Digraph}.
 
     The closure is materialised as one {!Bitset} row of descendants per node,
     computed in reverse topological order for DAGs and via the SCC
@@ -12,24 +12,24 @@
     byte-identical to the sequential build at every domain count (each row
     is a union over the node's successors, which is order-independent).
 
-    Ancestor queries are answered from a transposed copy of the closure,
-    built lazily on the first such query and cached inside the index: the
-    first call costs one pass over the closure's set bits, each subsequent
-    call a single row read. The transpose build mutates the index and is
-    {e not} safe to trigger concurrently from several domains; the parallel
-    soundness/corrector drivers only query forward reachability. *)
+    Ancestor rows are built eagerly alongside the descendant rows, by the
+    same kernel run over the reversed graph, so an ancestor query is a
+    single row read. A built index is immutable: any number of domains may
+    query it concurrently without forcing or pinning anything first. *)
 
 type t
 
 val compute : Digraph.t -> t
-(** Build the closure of the given graph (cyclic graphs allowed). *)
+(** Build the closure of the given graph and of its transpose (cyclic
+    graphs allowed). *)
 
 val graph_size : t -> int
 (** Number of nodes of the indexed graph. *)
 
 val equal : t -> t -> bool
-(** Row-for-row equality of two closures over same-sized graphs — the
-    check behind "parallel construction is byte-identical to sequential". *)
+(** Row-for-row equality of two closures over same-sized graphs, ancestor
+    rows included — the check behind "parallel construction is
+    byte-identical to sequential". *)
 
 val reaches : t -> int -> int -> bool
 (** [reaches r u v] is [true] iff there is a (possibly empty) directed path
@@ -38,9 +38,7 @@ val reaches : t -> int -> int -> bool
 val row_subset : t -> Bitset.t -> int -> bool
 (** [row_subset r set v]: is every member of [set] reachable from [v]? One
     subset test against the internal descendant row — no copy, but the scan
-    runs over all of [set]'s words (O(n/w)) even when [set] is sparse. This
-    is the "closure row" probe E-ANALYZE compares against O(1) label
-    probes. *)
+    runs over all of [set]'s words (O(n/w)) even when [set] is sparse. *)
 
 val descendants : t -> int -> Bitset.t
 (** The set of nodes reachable from a node, as a {e fresh} set the caller
@@ -62,12 +60,11 @@ val union_descendants_into : t -> into:Bitset.t -> int -> unit
 val ancestors : t -> int -> Bitset.t
 (** The set of nodes reaching a node (fresh set, caller-owned). Reflexive
     like {!descendants}: [ancestors r v] always contains [v] itself.
-    Answered from the cached transposed closure: O(closure bits) once,
-    then O(n/w) per query instead of the former O(n) row scan. *)
+    One O(n/w) copy of the node's ancestor row. *)
 
 val ancestors_of_set : t -> Bitset.t -> Bitset.t
 (** Union of [ancestors] over a set of nodes (cache-blocked union over the
-    transposed rows). *)
+    ancestor rows). *)
 
 val descendants_of_set : t -> Bitset.t -> Bitset.t
 (** Union of [descendants] over a set of nodes. *)

@@ -230,12 +230,17 @@ let rec eval_ast view ast =
       (eval_ast view arg);
     s
   | Apply ("composites", _, arg) ->
+    (* Mark each touched composite once, then add its members once: the
+       work is O(|arg| + members of the touched composites), not
+       O(|arg| · composite size). *)
+    let touched = Bitset.create (View.n_composites view) in
+    Bitset.iter
+      (fun t -> Bitset.add touched (View.composite_of_task view t))
+      (eval_ast view arg);
     let s = Bitset.create n in
     Bitset.iter
-      (fun t ->
-        List.iter (Bitset.add s)
-          (View.members view (View.composite_of_task view t)))
-      (eval_ast view arg);
+      (fun c -> List.iter (Bitset.add s) (View.members view c))
+      touched;
     s
   | Apply (other, p, _) -> fail p "unknown function %S" other
   | Complement a ->

@@ -1,6 +1,5 @@
 open Wolves_workflow
 open Wolves_core
-module Reach = Wolves_graph.Reach
 module Par = Wolves_par.Par
 module Query = Wolves_query.Query
 module Lint = Wolves_lint.Lint
@@ -9,14 +8,10 @@ module Repository = Wolves_repository.Repository
 type t = { views : (string, View.t) Hashtbl.t; ids : string list }
 
 (* Force every lazily-built structure a request handler can touch. After
-   this, concurrent handlers only read: the closure rows, the transposed
-   ancestors cache, the label index and the view-graph closure are all
-   immutable once built. *)
+   this, concurrent handlers only read: the closure (both directions) and
+   the view-graph closure are immutable once built. *)
 let pin view =
-  let spec = View.spec view in
-  let reach = Spec.reach spec in
-  ignore (Spec.labels spec);
-  if Spec.n_tasks spec > 0 then ignore (Reach.ancestors reach 0);
+  ignore (Spec.reach (View.spec view));
   ignore (View.view_reach view)
 
 let load entries =

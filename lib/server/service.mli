@@ -14,10 +14,9 @@ type t
 
 val load : (string * View.t) list -> t
 (** Build a corpus. Forces every lazily-built index each view can reach —
-    the dense closure, its transposed ancestors cache, the
-    {!Wolves_graph.Labels} chain/interval index, and the view-graph closure
-    — so concurrent request handlers only ever read shared state. Pinning
-    is farmed over the {!Wolves_par.Par} pool.
+    the dense closure (descendant and ancestor rows) and the view-graph
+    closure — so concurrent request handlers only ever read shared state.
+    Pinning is farmed over the {!Wolves_par.Par} pool.
     @raise Invalid_argument on duplicate or empty ids. *)
 
 val of_files : string list -> (t, string) result

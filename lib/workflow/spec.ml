@@ -1,7 +1,6 @@
 module Digraph = Wolves_graph.Digraph
 module Algo = Wolves_graph.Algo
 module Reach = Wolves_graph.Reach
-module Labels = Wolves_graph.Labels
 
 type task = int
 
@@ -20,7 +19,6 @@ type t = {
          so the static analyses can diagnose inconsistencies instead of
          construction rejecting them. *)
   mutable closure : Reach.t option; (* computed on first use *)
-  mutable label_index : Labels.t option; (* computed on first use *)
 }
 
 type error =
@@ -131,8 +129,7 @@ module Builder = struct
            topo;
            attributes = Hashtbl.copy b.b_attrs;
            annots = Hashtbl.copy b.b_annots;
-           closure = None;
-           label_index = None }
+           closure = None }
     | None ->
       let cycle =
         match Algo.find_cycle graph with
@@ -205,14 +202,6 @@ let reach spec =
     r
 
 let depends spec u v = Reach.reaches (reach spec) u v
-
-let labels spec =
-  match spec.label_index with
-  | Some l -> l
-  | None ->
-    let l = Labels.compute spec.graph in
-    spec.label_index <- Some l;
-    l
 
 let annotation spec t =
   if t < 0 || t >= n_tasks spec then

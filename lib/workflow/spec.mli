@@ -127,11 +127,6 @@ val depends : t -> task -> task -> bool
 (** [depends spec upstream downstream]: is there a (possibly empty)
     dependency path? *)
 
-val labels : t -> Wolves_graph.Labels.t
-(** The compact reachability-label index ({!Wolves_graph.Labels}) of the
-    dependency graph, computed once and cached — the backend behind
-    [Soundness.validate ~engine:`Labels]. *)
-
 val annotation : t -> task -> (task * task list) list option
 (** A task's dependency-annotation entries (output consumer, input
     producers), in declaration order — [None] when the task carries no

@@ -1,13 +1,11 @@
-(* The dataflow framework, the reachability label index, and the
-   annotation analyses: labels must agree with the dense closure on every
-   generator family (and through Soundness at every domain count), the
+(* The dataflow framework and the annotation analyses: the fixpoint must
+   agree with the dense closure on every generator family, the
    fine-grained flow must refine coarse reachability, and annotation
    inference must be an idempotent fixpoint. *)
 
 module Digraph = Wolves_graph.Digraph
 module Bitset = Wolves_graph.Bitset
 module Reach = Wolves_graph.Reach
-module Labels = Wolves_graph.Labels
 open Wolves_workflow
 module S = Wolves_core.Soundness
 module Gen = Wolves_workload.Generate
@@ -123,7 +121,7 @@ module Bits = Dataflow.Make (struct
 end)
 
 (* Ancestor sets are the canonical forward analysis: value(v) = {v} ∪
-   ⋃ value(pred). Must match the closure's transposed rows. *)
+   ⋃ value(pred). Must match the closure's ancestor rows. *)
 let ancestors_via_dataflow ?domains g =
   Bits.solve ?domains ~direction:Dataflow.Forward ~graph:g
     ~init:(fun v ->
@@ -194,81 +192,6 @@ let test_dataflow_cyclic () =
       check_bool "cyclic ancestors agree with closure" true
         (Bitset.equal s (Reach.ancestors r v)))
     values
-
-(* ------------------------------------------------------------------ *)
-(* Reachability labels                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_labels_agree_with_reach () =
-  List.iter
-    (fun spec ->
-      let labels = Spec.labels spec in
-      let reach = Spec.reach spec in
-      (match Labels.cross_validate labels reach with
-       | None -> ()
-       | Some (u, v) ->
-         Alcotest.failf "labels disagree with closure on %s: (%d, %d)"
-           (Spec.name spec) u v);
-      check_bool "sampled validation also passes" true
-        (Labels.cross_validate_sampled labels reach ~seed:7 ~samples:2000
-         = None))
-    (small_specs ())
-
-let test_labels_on_unsound_corpus () =
-  List.iter
-    (fun (spec, _view) ->
-      match Labels.cross_validate (Spec.labels spec) (Spec.reach spec) with
-      | None -> ()
-      | Some (u, v) ->
-        Alcotest.failf "corpus labels disagree on %s: (%d, %d)"
-          (Spec.name spec) u v)
-    (Views.unsound_corpus ~seed:23 ~families:Gen.all_families
-       ~sizes:[ 20; 60 ] ~per_cell:3)
-
-let test_labels_index_smaller () =
-  (* On a narrow graph (here a single chain, k = 1) the O(n·k) label index
-     must be far smaller than the O(n²/w) dense closure. *)
-  let n = 2000 in
-  let tasks = List.init n (Printf.sprintf "t%d") in
-  let edges = List.init (n - 1) (fun i -> (Printf.sprintf "t%d" i, Printf.sprintf "t%d" (i + 1))) in
-  let spec = spec_of tasks edges in
-  let labels = Spec.labels spec in
-  (* The dense closure allocates one row of ceil(n/w) words per node. *)
-  let closure_words = n * ((n + 62) / 63) in
-  check_bool "label index much smaller than closure" true
-    (Labels.index_words labels * 4 < closure_words)
-
-(* ------------------------------------------------------------------ *)
-(* Soundness engine agreement (acceptance criterion)                   *)
-(* ------------------------------------------------------------------ *)
-
-let report_fingerprint (r : S.report) =
-  List.map (fun (c, witnesses) -> (c, witnesses)) r.S.unsound
-
-let test_label_engine_agrees () =
-  let corpus =
-    Views.unsound_corpus ~seed:41 ~families:Gen.all_families ~sizes:[ 24; 64 ]
-      ~per_cell:2
-    @ List.map
-        (fun spec ->
-          (spec, Views.build ~seed:9 (Views.Connected_groups 4) spec))
-        (small_specs ())
-  in
-  List.iter
-    (fun (_, view) ->
-      let reference = report_fingerprint (S.validate ~domains:1 view) in
-      List.iter
-        (fun domains ->
-          let labelled =
-            report_fingerprint (S.validate ~domains ~engine:`Labels view)
-          in
-          check_bool
-            (Printf.sprintf "label engine = closure engine (%d domains)"
-               domains)
-            true
-            (labelled = reference))
-        [ 1; 2; 4; 8 ])
-    corpus
 
 (* ------------------------------------------------------------------ *)
 (* Fine-grained flow                                                   *)
@@ -466,15 +389,6 @@ let () =
             test_dataflow_parallel_identical;
           Alcotest.test_case "backward direction" `Quick test_dataflow_backward;
           Alcotest.test_case "cyclic fallback" `Quick test_dataflow_cyclic ] );
-      ( "labels",
-        [ Alcotest.test_case "agree with closure on all families" `Quick
-            test_labels_agree_with_reach;
-          Alcotest.test_case "agree on the unsound corpus" `Quick
-            test_labels_on_unsound_corpus;
-          Alcotest.test_case "index far smaller on pipelines" `Quick
-            test_labels_index_smaller;
-          Alcotest.test_case "soundness engine agreement at 1/2/4/8 domains"
-            `Quick test_label_engine_agrees ] );
       ( "flow",
         [ Alcotest.test_case "no annotations = plain reachability" `Quick
             test_flow_without_annotations_is_reachability;

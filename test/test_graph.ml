@@ -8,7 +8,6 @@ module Reach = Wolves_graph.Reach
 module Dot = Wolves_graph.Dot
 module Paths = Wolves_graph.Paths
 module Dominators = Wolves_graph.Dominators
-module Interval = Wolves_graph.Interval
 module Spec = Wolves_workflow.Spec
 
 let check_bool = Alcotest.(check bool)
@@ -391,27 +390,6 @@ let test_reach_descendants_owned () =
   Reach.union_descendants_into r ~into:acc 3;
   check_int_list "union_descendants_into" [ 0; 1; 2; 3 ] (Bitset.elements acc)
 
-(* [ancestors] (served from the cached transposed closure) must agree with
-   the definition {u | reaches u v}, on DAGs and cyclic graphs alike. *)
-let ancestors_agree =
-  QCheck2.Test.make ~name:"ancestors = inverted reaches" ~count:100
-    QCheck2.Gen.(
-      pair (int_range 1 12)
-        (list_size (int_range 0 30) (pair (int_bound 11) (int_bound 11))))
-    (fun (n, edges) ->
-      let edges =
-        List.filter (fun (u, v) -> u < n && v < n && u <> v) edges
-      in
-      let g = Digraph.of_edges ~n edges in
-      let r = Reach.compute g in
-      List.for_all
-        (fun v ->
-          let expected =
-            List.filter (fun u -> Reach.reaches r u v) (List.init n Fun.id)
-          in
-          Bitset.elements (Reach.ancestors r v) = expected)
-        (List.init n Fun.id))
-
 (* Property: closure agrees with per-pair BFS on random DAGs. *)
 let random_dag_gen =
   (* Build a DAG by only adding forward edges u < v. *)
@@ -441,6 +419,84 @@ let reach_agrees_with_bfs =
             (fun v -> Reach.reaches r u v = Bitset.mem reachable v)
             (List.init n Fun.id))
         (List.init n Fun.id))
+
+(* Random graphs with cycles: a random DAG plus the 2-cycle 0 <-> 1 and
+   some of its edges reversed, so the SCC path of [Reach.compute] runs. *)
+let random_cyclic_gen =
+  QCheck2.Gen.(
+    bind random_dag_gen (fun (n, edges) ->
+        map
+          (fun flips ->
+            let backs =
+              List.filter_map
+                (fun ((u, v), flip) -> if flip then Some (v, u) else None)
+                (List.combine edges flips)
+            in
+            (n, ((0, 1) :: (1, 0) :: edges) @ backs))
+          (list_repeat (List.length edges) (map (fun k -> k = 0) (int_bound 4)))))
+
+(* Both ancestor accessors against their definitions: [ancestors r v] is
+   {u | reaches r u v} and [ancestors_of_set] is the union of those sets,
+   checked on the empty set, the full set and three residue classes. *)
+let ancestor_rows_agree (n, edges) =
+  let r = Reach.compute (Digraph.of_edges ~n edges) in
+  let nodes = List.init n Fun.id in
+  let inverted v = List.filter (fun u -> Reach.reaches r u v) nodes in
+  let union_of set =
+    List.sort_uniq compare (List.concat_map inverted (Bitset.elements set))
+  in
+  let sets =
+    Bitset.create n
+    :: Bitset.of_list n nodes
+    :: List.map
+         (fun k -> Bitset.of_list n (List.filter (fun v -> (v + k) mod 3 = 0) nodes))
+         [ 0; 1; 2 ]
+  in
+  List.for_all (fun v -> Bitset.elements (Reach.ancestors r v) = inverted v) nodes
+  && List.for_all
+       (fun set -> Bitset.elements (Reach.ancestors_of_set r set) = union_of set)
+       sets
+
+(* On DAGs and on graphs with cycles alike. *)
+let ancestors_agree =
+  QCheck2.Test.make ~name:"ancestors = inverted reaches" ~count:200
+    QCheck2.Gen.(oneof [ random_dag_gen; random_cyclic_gen ])
+    ancestor_rows_agree
+
+(* A freshly built index is immutable: four domains querying it at once,
+   with nothing forced beforehand, see exactly what a sequential run sees. *)
+let test_reach_domain_safe () =
+  let g =
+    Spec.graph
+      (Wolves_workload.Generate.generate Wolves_workload.Generate.Layered
+         ~seed:5 ~size:1000)
+  in
+  let n = Digraph.n_nodes g in
+  let run r =
+    List.init n (fun v ->
+        let set = Bitset.of_list n [ v; v * 7 mod n; v * 13 mod n ] in
+        ( Bitset.elements (Reach.ancestors r v),
+          Bitset.elements (Reach.ancestors_of_set r set) ))
+  in
+  let expected = run (Reach.compute g) in
+  let r = Reach.compute g in
+  let ready = Atomic.make 0 in
+  let workers =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < 4 do
+              Domain.cpu_relax ()
+            done;
+            run r))
+  in
+  List.iteri
+    (fun i d ->
+      check_bool
+        (Printf.sprintf "domain %d matches the sequential run" i)
+        true
+        (Domain.join d = expected))
+    workers
 
 let topo_respects_edges =
   QCheck2.Test.make ~name:"topological order sorts every edge" ~count:100
@@ -656,7 +712,11 @@ let test_dominators_single_entry_chain () =
   let pre, post = Dominators.tree_intervals dom in
   for v = 0 to n - 2 do
     check_bool "intervals nest along the chain" true
-      (pre.(v) < pre.(v + 1) && post.(v + 1) < post.(v))
+      (pre.(v) < pre.(v + 1) && post.(v + 1) < post.(v));
+    check_bool "prefix dominates suffix" true
+      (Dominators.dominates dom v (v + 1));
+    check_bool "suffix does not dominate prefix" false
+      (Dominators.dominates dom (v + 1) v)
   done
 
 (* The generator families give realistic workflow DAGs (multi-source, so
@@ -713,50 +773,6 @@ let test_tree_intervals_agree () =
       done)
     (family_graphs ())
 
-(* ------------------------------------------------------------------ *)
-(* Interval index                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_interval_diamond () =
-  let g = diamond () in
-  let idx = Interval.compute g in
-  check_bool "0 reaches 3" true (Interval.reaches idx 0 3);
-  check_bool "reflexive" true (Interval.reaches idx 2 2);
-  check_bool "no back path" false (Interval.reaches idx 3 0);
-  check_bool "1 not to 2" false (Interval.reaches idx 1 2)
-
-let test_interval_tree_compact () =
-  (* A pure out-tree needs exactly one interval per node. *)
-  let n = 127 in
-  let g = Digraph.create () in
-  Digraph.add_nodes g n;
-  for v = 1 to n - 1 do
-    Digraph.add_edge g ((v - 1) / 2) v
-  done;
-  let idx = Interval.compute g in
-  check_int "one interval per node" n (Interval.n_intervals idx);
-  check_int "max one" 1 (Interval.max_intervals_per_node idx);
-  check_bool "root reaches a leaf" true (Interval.reaches idx 0 (n - 1))
-
-let test_interval_cycle_rejected () =
-  let g = Digraph.of_edges ~n:2 [ (0, 1); (1, 0) ] in
-  Alcotest.check_raises "cycle" (Invalid_argument "Interval.compute: graph has a cycle")
-    (fun () -> ignore (Interval.compute g))
-
-let prop_interval_agrees =
-  QCheck2.Test.make ~name:"interval index agrees with bitset closure" ~count:150
-    random_dag_gen
-    (fun (n, edges) ->
-      let g = Digraph.of_edges ~n edges in
-      let idx = Interval.compute g in
-      let r = Reach.compute g in
-      List.for_all
-        (fun u ->
-          List.for_all
-            (fun v -> Interval.reaches idx u v = Reach.reaches r u v)
-            (List.init n Fun.id))
-        (List.init n Fun.id))
-
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "wolves_graph"
@@ -806,6 +822,8 @@ let () =
           Alcotest.test_case "set queries" `Quick test_reach_set_queries;
           Alcotest.test_case "descendants are caller-owned" `Quick
             test_reach_descendants_owned;
+          Alcotest.test_case "concurrent ancestor queries" `Quick
+            test_reach_domain_safe;
           qt ancestors_agree;
           qt reach_agrees_with_bfs ] );
       ( "paths",
@@ -816,12 +834,6 @@ let () =
           Alcotest.test_case "transitive reduction" `Quick
             test_transitive_reduction;
           qt prop_reduction_preserves_reachability ] );
-      ( "interval",
-        [ Alcotest.test_case "diamond" `Quick test_interval_diamond;
-          Alcotest.test_case "trees are one interval" `Quick
-            test_interval_tree_compact;
-          Alcotest.test_case "cycles rejected" `Quick test_interval_cycle_rejected;
-          qt prop_interval_agrees ] );
       ( "dominators",
         [ Alcotest.test_case "diamond" `Quick test_dominators_diamond;
           Alcotest.test_case "multiple sources" `Quick test_dominators_multi_source;

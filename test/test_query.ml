@@ -162,6 +162,47 @@ let prop_monotone_closure =
         Bitset.subset base anc && Bitset.equal anc anc2
       | _ -> false)
 
+(* [composites(e)] against its per-task definition on random views:
+   {t' | some t in e shares t''s composite}. The argument is a random task
+   subset, optionally under one of the other functions. *)
+let prop_composites_naive =
+  QCheck2.Test.make ~name:"composites agrees with the per-task definition"
+    ~count:150
+    QCheck2.Gen.(
+      quad (int_range 0 10_000) (int_range 4 40) (int_range 1 8)
+        (pair
+           (oneofl [ ""; "ancestors"; "descendants"; "producers"; "consumers" ])
+           (list_size (int_range 0 6) (int_bound 1_000))))
+    (fun (seed, size, k, (fn, picks)) ->
+      let module Gen = Wolves_workload.Generate in
+      let family = List.nth Gen.all_families (seed mod 4) in
+      let spec = Gen.generate family ~seed ~size in
+      let v =
+        Wolves_workload.Views.build ~seed
+          (Wolves_workload.Views.Random_partition k) spec
+      in
+      let n = Spec.n_tasks spec in
+      let names =
+        List.map (fun i -> Printf.sprintf "'%s'" (Spec.task_name spec (i mod n))) picks
+      in
+      let arg =
+        Printf.sprintf "%s(%s)" fn
+          (if names = [] then "none" else String.concat " | " names)
+      in
+      match (Q.eval v arg, Q.eval v (Printf.sprintf "composites(%s)" arg)) with
+      | Ok inner, Ok got ->
+        let expected =
+          List.filter
+            (fun t' ->
+              Bitset.exists
+                (fun t ->
+                  View.composite_of_task v t = View.composite_of_task v t')
+                inner)
+            (Spec.tasks spec)
+        in
+        Bitset.elements got = expected
+      | _ -> false)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "wolves_query"
@@ -175,4 +216,5 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "error positions" `Quick test_error_positions;
           qt prop_algebra;
-          qt prop_monotone_closure ] ) ]
+          qt prop_monotone_closure;
+          qt prop_composites_naive ] ) ]

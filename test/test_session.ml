@@ -7,7 +7,6 @@ module S = Wolves_core.Soundness
 module C = Wolves_core.Corrector
 module Session = Wolves_core.Session
 module Bitset = Wolves_graph.Bitset
-module Chains = Wolves_graph.Chains
 module Reach = Wolves_graph.Reach
 module Digraph = Wolves_graph.Digraph
 module Gen = Wolves_workload.Generate
@@ -289,55 +288,6 @@ let prop_resolve_auto_sound =
       S.is_sound resolved)
 
 (* ------------------------------------------------------------------ *)
-(* Chain reachability index                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_chains_basic () =
-  let g = Digraph.of_edges ~n:6 [ (0, 1); (1, 2); (0, 3); (3, 4); (2, 5); (4, 5) ] in
-  let idx = Chains.compute g in
-  check_bool "0 reaches 5" true (Chains.reaches idx 0 5);
-  check_bool "reflexive" true (Chains.reaches idx 3 3);
-  check_bool "1 not to 4" false (Chains.reaches idx 1 4);
-  check_bool "no back edges" false (Chains.reaches idx 5 0);
-  check_bool "few chains on near-chain graph" true (Chains.n_chains idx <= 3)
-
-let test_chains_rejects_cycles () =
-  let g = Digraph.of_edges ~n:2 [ (0, 1); (1, 0) ] in
-  Alcotest.check_raises "cyclic" (Invalid_argument "Chains.compute: graph has a cycle")
-    (fun () -> ignore (Chains.compute g))
-
-let test_chains_narrow_compact () =
-  (* On a near-path DAG the greedy cover has k ~ 1 chains and the index
-     beats the n * ceil(n/63) words the bitset closure allocates. *)
-  let n = 500 in
-  let g = Digraph.create ~initial_capacity:n () in
-  Digraph.add_nodes g n;
-  for v = 0 to n - 2 do
-    Digraph.add_edge g v (v + 1)
-  done;
-  let idx = Chains.compute g in
-  check_int "single chain" 1 (Chains.n_chains idx);
-  let closure_alloc_words = n * ((n + 62) / 63) in
-  check_bool "index much smaller than the closure" true
-    (Chains.index_words idx * 4 < closure_alloc_words)
-
-let prop_chains_agree_with_reach =
-  QCheck2.Test.make ~name:"chain index agrees with bitset closure" ~count:100
-    QCheck2.Gen.(pair (int_range 0 10_000) (int_range 2 40))
-    (fun (seed, size) ->
-      let family = List.nth Gen.all_families (seed mod 4) in
-      let spec = Gen.generate family ~seed ~size in
-      let g = Spec.graph spec in
-      let idx = Chains.compute g in
-      let r = Reach.compute g in
-      List.for_all
-        (fun u ->
-          List.for_all
-            (fun v -> Chains.reaches idx u v = Reach.reaches r u v)
-            (Spec.tasks spec))
-        (Spec.tasks spec))
-
-(* ------------------------------------------------------------------ *)
 (* Strong-closure branching                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -514,12 +464,6 @@ let () =
           Alcotest.test_case "wide block merges" `Quick
             test_resolve_auto_prefers_merge;
           qt prop_resolve_auto_sound ] );
-      ( "chains",
-        [ Alcotest.test_case "basic queries" `Quick test_chains_basic;
-          Alcotest.test_case "cycles rejected" `Quick test_chains_rejects_cycles;
-          Alcotest.test_case "compact on narrow graphs" `Quick
-            test_chains_narrow_compact;
-          qt prop_chains_agree_with_reach ] );
       ( "strong-branching",
         [ Alcotest.test_case "two-sided repair" `Quick test_strong_closure_branches ] );
       ( "suggest",
