@@ -213,7 +213,32 @@ let exists p s =
     false
   with Settled -> true
 
-let elements s = List.rev (fold (fun i acc -> i :: acc) s [])
+(* Index of the highest set bit of a nonzero word, by binary search. [lsr]
+   shifts the sign bit (bit 62, a member like any other) as a plain bit. *)
+let top_bit w =
+  let n = ref 0 and w = ref w in
+  if !w lsr 32 <> 0 then begin n := 32; w := !w lsr 32 end;
+  if !w lsr 16 <> 0 then begin n := !n + 16; w := !w lsr 16 end;
+  if !w lsr 8 <> 0 then begin n := !n + 8; w := !w lsr 8 end;
+  if !w lsr 4 <> 0 then begin n := !n + 4; w := !w lsr 4 end;
+  if !w lsr 2 <> 0 then begin n := !n + 2; w := !w lsr 2 end;
+  if !w lsr 1 <> 0 then incr n;
+  !n
+
+(* Highest word first and highest member first within each word: consing in
+   that order builds the increasing list directly, with no reversal. *)
+let elements s =
+  let acc = ref [] in
+  for w = Array.length s.words - 1 downto 0 do
+    let word = ref s.words.(w) in
+    let base = w * bits_per_word in
+    while !word <> 0 do
+      let b = top_bit !word in
+      acc := (base + b) :: !acc;
+      word := !word lxor (1 lsl b)
+    done
+  done;
+  !acc
 
 let of_list capacity elts =
   let s = create capacity in

@@ -35,14 +35,6 @@ let sanitize s =
   in
   if String.length s > 200 then String.sub s 0 200 ^ "..." else s
 
-(* Payload lines come from the library (task names, diagnostics): fold any
-   stray newline into a space so framing survives, but otherwise leave them
-   verbatim. *)
-let oneline s =
-  if String.contains s '\n' || String.contains s '\r' then
-    String.map (function '\n' | '\r' -> ' ' | c -> c) s
-  else s
-
 (* First space-separated token and the raw remainder (leading spaces kept
    on neither side of the cut). *)
 let next_token s =
@@ -124,16 +116,36 @@ let parse line =
               if expr = "" then bad () else Ok (Query (id, expr)))
       | _ -> Error ("unknown-command", sanitize cmd))
 
+(* Payload lines come from the library (task names, diagnostics) and go out
+   verbatim, except that CR and LF fold to a space so framing survives. The
+   reply is sized exactly first, then filled in one pass that copies and
+   folds each byte: one allocation, no intermediate buffer or final copy.
+   The exact sizing keeps every index in bounds, so the copy loop skips the
+   checks. *)
 let render = function
   | Ok_lines lines ->
-      let b = Buffer.create 128 in
-      Buffer.add_string b (Printf.sprintf "OK %d\n" (List.length lines));
+      let count = ref 0 and size = ref 0 in
       List.iter
         (fun l ->
-          Buffer.add_string b (oneline l);
-          Buffer.add_char b '\n')
+          incr count;
+          size := !size + String.length l + 1)
         lines;
-      Buffer.contents b
+      let header = "OK " ^ string_of_int !count ^ "\n" in
+      let hlen = String.length header in
+      let b = Bytes.create (hlen + !size) in
+      Bytes.blit_string header 0 b 0 hlen;
+      let pos = ref hlen in
+      List.iter
+        (fun l ->
+          let p = !pos and len = String.length l in
+          for i = 0 to len - 1 do
+            Bytes.unsafe_set b (p + i)
+              (match String.unsafe_get l i with '\n' | '\r' -> ' ' | c -> c)
+          done;
+          Bytes.unsafe_set b (p + len) '\n';
+          pos := p + len + 1)
+        lines;
+      Bytes.unsafe_to_string b
   | Err (code, msg) -> Printf.sprintf "ERR %s %s\n" code (sanitize msg)
   | Overloaded ms -> Printf.sprintf "OVERLOADED %d\n" ms
 
@@ -170,18 +182,17 @@ let parse_reply_stream s =
           | [ "OK"; count ] -> (
               match int_of_string_opt count with
               | Some k when k >= 0 ->
-                  let rec payload got p =
-                    if List.length got = k then
-                      go (Ok_lines (List.rev got) :: acc) p
+                  let rec payload got left p =
+                    if left = 0 then go (Ok_lines (List.rev got) :: acc) p
                     else
                       match line_at p with
                       | None ->
                           (* frame cut mid-payload: everything from the OK
                              header on is the unfinished tail *)
                           Ok (List.rev acc, String.sub s pos (n - pos))
-                      | Some (l, p') -> payload (l :: got) p'
+                      | Some (l, p') -> payload (l :: got) (left - 1) p'
                   in
-                  payload [] next
+                  payload [] k next
               | _ -> Error (Printf.sprintf "malformed OK header %S" line))
           | "ERR" :: code :: rest ->
               go (Err (code, String.concat " " rest) :: acc) next

@@ -59,7 +59,8 @@ val parse : string -> (request, string * string) result
 
 val render : reply -> string
 (** Wire form, including all line terminators. Payload lines are folded to
-    single lines (embedded newlines become spaces); [Err] messages are
+    single lines (each CR and LF becomes a space; every other byte,
+    control bytes included, is copied as is); [Err] messages are
     additionally sanitised to printable ASCII and truncated. *)
 
 val kind : request -> string

@@ -97,8 +97,9 @@ let parse_entity st =
   | _ ->
     let decode_numeric digits base =
       match int_of_string_opt (base ^ digits) with
-      | Some code when code > 0 && code < 0x110000 ->
-        (* Encode the scalar value back to UTF-8. *)
+      | Some code when code > 0 && Uchar.is_valid code ->
+        (* Encode the scalar value back to UTF-8. Surrogates (D800-DFFF) and
+           codes past 10FFFF are not scalar values and take the error below. *)
         let b = Buffer.create 4 in
         Buffer.add_utf_8_uchar b (Uchar.of_int code);
         Buffer.contents b

@@ -30,7 +30,12 @@ let test_bitset_basic () =
   check_bool "mem 62" false (Bitset.mem s 62);
   Bitset.remove s 63;
   check_bool "removed" false (Bitset.mem s 63);
-  check_int_list "elements sorted" [ 0; 64; 99 ] (Bitset.elements s)
+  check_int_list "elements sorted" [ 0; 64; 99 ] (Bitset.elements s);
+  (* 63 members per word: 62, 125 and 188 are the top bit of words 0-2, the
+     sign bit of the OCaml int *)
+  let t = Bitset.of_list 200 [ 188; 0; 125; 63; 62; 199; 126 ] in
+  check_int_list "word-top bits in order" [ 0; 62; 63; 125; 126; 188; 199 ]
+    (Bitset.elements t)
 
 let test_bitset_bounds () =
   let s = Bitset.create 10 in

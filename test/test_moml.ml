@@ -96,9 +96,14 @@ let test_parse_errors () =
     cases
 
 let test_bad_xml_reported () =
-  match Moml.of_string "<entity name=" with
+  (match Moml.of_string "<entity name=" with
   | Error (Moml.Xml _) -> ()
-  | _ -> Alcotest.fail "expected an Xml error"
+  | _ -> Alcotest.fail "expected an Xml error");
+  (* a character reference to a surrogate is not a scalar value: a typed
+     error, not an escaping Invalid_argument *)
+  match Moml.of_string {|<entity name="w"><entity name="a&#xD800;b"/></entity>|} with
+  | Error (Moml.Xml _) -> ()
+  | _ -> Alcotest.fail "expected an Xml error for &#xD800;"
 
 let test_workflow_errors_propagate () =
   (* Cycle a -> b -> a. *)

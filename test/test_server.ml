@@ -117,6 +117,12 @@ let test_render () =
   check_string "empty ok" "OK 0\n" (Protocol.render (Protocol.Ok_lines []));
   check_string "newline folding" "OK 1\nx y\n"
     (Protocol.render (Protocol.Ok_lines [ "x\ny" ]));
+  check_string "lone CR" "OK 1\n \n" (Protocol.render (Protocol.Ok_lines [ "\r" ]));
+  check_string "CRLF folds to two spaces" "OK 1\na  b\n"
+    (Protocol.render (Protocol.Ok_lines [ "a\r\nb" ]));
+  check_string "empty line" "OK 1\n\n" (Protocol.render (Protocol.Ok_lines [ "" ]));
+  check_string "other control bytes verbatim" "OK 1\na\001\tb\n"
+    (Protocol.render (Protocol.Ok_lines [ "a\001\tb" ]));
   check_string "err line" "ERR code a message\n"
     (Protocol.render (Protocol.Err ("code", "a message")));
   check_string "err sanitized" "ERR c a?b c\n"
@@ -126,6 +132,41 @@ let test_render () =
   let long = String.make 300 'z' in
   let rendered = Protocol.render (Protocol.Err ("c", long)) in
   check_bool "err truncated" true (String.length rendered < 250)
+
+(* The Buffer renderer [Protocol.render] replaced, kept as the reference for
+   [Ok_lines]: a line holding CR or LF is folded with [String.map], any
+   other line is copied as is. *)
+let reference_render_ok lines =
+  let oneline s =
+    if String.contains s '\n' || String.contains s '\r' then
+      String.map (function '\n' | '\r' -> ' ' | c -> c) s
+    else s
+  in
+  let b = Buffer.create 128 in
+  Buffer.add_string b (Printf.sprintf "OK %d\n" (List.length lines));
+  List.iter
+    (fun l ->
+      Buffer.add_string b (oneline l);
+      Buffer.add_char b '\n')
+    lines;
+  Buffer.contents b
+
+let render_matches_reference =
+  let line =
+    QCheck2.Gen.(
+      map (String.concat "")
+        (list_size (int_range 0 8)
+           (oneof
+              [ oneofl [ "\r\n"; "\r"; "\n"; "" ];
+                map (String.make 1) (map Char.chr (int_range 0 31));
+                map (String.make 1) char;
+                string_size ~gen:printable (int_range 1 6) ])))
+  in
+  QCheck2.Test.make ~name:"render = reference renderer" ~count:500
+    ~print:QCheck2.Print.(list string)
+    QCheck2.Gen.(list_size (int_range 0 30) line)
+    (fun lines ->
+      Protocol.render (Protocol.Ok_lines lines) = reference_render_ok lines)
 
 let test_parse_reply_stream () =
   let replies =
@@ -149,9 +190,27 @@ let test_parse_reply_stream () =
       check_bool "tail starts at the cut frame" true
         (String.length leftover > 0 && String.sub leftover 0 2 = "OK")
   | Error e -> Alcotest.failf "cut stream: %s" e);
-  match Protocol.parse_reply_stream "NONSENSE line\n" with
+  (match Protocol.parse_reply_stream "NONSENSE line\n" with
   | Ok _ -> Alcotest.fail "protocol violation not detected"
-  | Error _ -> ()
+  | Error _ -> ());
+  (* a 40k-line reply round-trips, and a cut in its middle leaves the whole
+     frame as the tail; at this size a parser that recounts the payload per
+     line takes about a second *)
+  let big = Protocol.Ok_lines (List.init 40_000 (Printf.sprintf "task-%d")) in
+  let frame = Protocol.render big in
+  (match
+     Protocol.parse_reply_stream
+       (frame ^ Protocol.render (Protocol.Ok_lines [ "x" ]))
+   with
+  | Ok ([ got; _ ], "") -> Alcotest.check reply_t "40k-line round trip" big got
+  | Ok (got, _) -> Alcotest.failf "40k lines: %d replies" (List.length got)
+  | Error e -> Alcotest.failf "40k lines: %s" e);
+  let cut = String.sub frame 0 (String.length frame / 2) in
+  match Protocol.parse_reply_stream cut with
+  | Ok (got, leftover) ->
+      check_int "no complete frame before the cut" 0 (List.length got);
+      check_string "tail is the cut frame" cut leftover
+  | Error e -> Alcotest.failf "cut 40k-line frame: %s" e
 
 (* ------------------------------------------------------------------ *)
 (* Service                                                             *)
@@ -1107,6 +1166,7 @@ let () =
     [ ( "protocol",
         [ Alcotest.test_case "parse" `Quick test_parse;
           Alcotest.test_case "render" `Quick test_render;
+          qt render_matches_reference;
           Alcotest.test_case "parse_reply_stream" `Quick test_parse_reply_stream ] );
       ( "service",
         [ Alcotest.test_case "load and lookup" `Quick test_service_load;

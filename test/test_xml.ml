@@ -66,6 +66,8 @@ let test_parse_errors () =
       ("<a x=\"1\" x=\"2\"/>", "duplicate attribute");
       ("<a>&bogus;</a>", "unknown entity");
       ("<a>&#xFFFFFF;</a>", "invalid character reference");
+      ("<a>&#xD800;</a>", "invalid character reference");
+      ("<a x=\"&#xDFFF;\"/>", "invalid character reference");
       ("<a/><b/>", "content after the root");
       ("<a x=1/>", "quoted attribute");
       ("<!DOCTYPE html><a/>", "DTD");
