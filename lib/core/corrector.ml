@@ -771,19 +771,13 @@ let correct ?(config = default_config) ?domains criterion view =
     else begin
       (* Each unsound composite is corrected independently from the spec
          and its (already forced, read-only) closure, so the splits farm
-         across the pool. The view is only rebuilt afterwards, on this
-         domain; worker metrics land in per-job shards merged back in
-         composite order, so the registry — like the outcome list — is
-         identical to the sequential run. *)
+         across the pool, recording straight into the atomic registry. The
+         view is only rebuilt afterwards, on this domain. *)
       ignore (Spec.reach spec);
       let results =
-        Par.map_ordered ~domains
-          (fun (c, _) -> Obs.with_new_shard (fun () -> split c))
-          unsound
+        Par.map_ordered ~domains (fun (c, _) -> split c) unsound
       in
-      Array.iter (fun (_, sh) -> Obs.merge_shard sh) results;
-      List.mapi (fun i (c, _) -> (c, fst results.(i)))
-        (Array.to_list unsound)
+      List.mapi (fun i (c, _) -> (c, results.(i))) report.Soundness.unsound
     end
   in
   let replacements = List.map (fun (c, o) -> (c, o.parts)) outcomes in

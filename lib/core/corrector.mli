@@ -185,8 +185,8 @@ val correct :
     composite (id in the {e input} view) to its outcome.
 
     With [domains] above 1 (default [Wolves_par.Par.default_domains]) the
-    independent composite splits are farmed across a domain pool — metrics
-    recorded in per-domain shards, merged back in composite order — and the
+    independent composite splits are farmed across a domain pool, workers
+    recording their metrics straight into the shared registry, and the
     corrected view and outcome list are identical to the sequential run at
     every domain count. *)
 

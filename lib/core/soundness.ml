@@ -143,22 +143,17 @@ let validate ?domains view =
         (View.composites view)
     else begin
       (* Composites are independent: each check only reads the spec and its
-         reachability index. Force the spec's lazy closure before farming so
-         workers never race on its initialisation, and give each job a
-         metrics shard so its counters don't race on the shared records.
-         [map_ordered] keeps the report in composite order; merging shards
-         in that same order keeps the registry deterministic. *)
+         reachability index, and records into the atomic metrics registry.
+         Force the spec's lazy closure before farming so workers never race
+         on its initialisation. [map_ordered] keeps the report in composite
+         order. *)
       ignore (Spec.reach (View.spec view));
       let results =
-        Par.map_ordered ~domains
-          (fun c ->
-            Obs.with_new_shard (fun () -> composite_witnesses view c))
-          composites
+        Par.map_ordered ~domains (composite_witnesses view) composites
       in
-      Array.iter (fun (_, sh) -> Obs.merge_shard sh) results;
       List.filter_map
         (fun i ->
-          match fst results.(i) with
+          match results.(i) with
           | [] -> None
           | witnesses -> Some (composites.(i), witnesses))
         (List.init (Array.length composites) Fun.id)

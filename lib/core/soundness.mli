@@ -77,9 +77,9 @@ val validate : ?domains:int -> View.t -> report
 
     Composite checks are independent, so with [domains] above 1 (default
     [Wolves_par.Par.default_domains]) they are farmed across a domain pool:
-    the closure is forced up front, each worker records its metrics into a
-    per-domain shard merged back in composite order, and the report is
-    identical to the sequential one at every domain count. *)
+    the closure is forced up front, workers record their metrics straight
+    into the shared registry (counter totals match the sequential run), and
+    the report is identical to the sequential one at every domain count. *)
 
 val is_sound : View.t -> bool
 

@@ -12,9 +12,7 @@
     {b Domain safety.} Records are formatted on the emitting domain and the
     final line write (plus flush) happens under an internal lock, so worker
     domains can log concurrently without interleaving bytes; each record
-    lands on its own line, whole. Unlike {!Metrics} there is no shard
-    buffering — an access log wants every record durably out as it happens,
-    not merged later. *)
+    lands on its own line, whole. *)
 
 type level = Debug | Info | Warn | Error
 

@@ -1,13 +1,10 @@
-type counter = {
-  c_name : string;
-  mutable c_value : int;
-}
+(* Every cell is an [Atomic.t], so any domain records into the shared
+   registry directly: counters and histogram buckets by fetch-and-add, a
+   timer's sum and maximum by compare-and-set. *)
 
-type gauge = {
-  g_name : string;
-  mutable g_value : float;
-  mutable g_set : bool;
-}
+type counter = int Atomic.t
+
+type gauge = float option Atomic.t  (* [None] until first set *)
 
 (* Shared fixed log-scale bucket bounds: powers of 4 starting at 4ns, the
    last bucket unbounded. 20 buckets span 4ns .. ~275s, plenty for anything
@@ -25,12 +22,12 @@ let bucket_of d =
   done;
   !i
 
+(* No count cell: the count is the sum of the buckets. *)
 type timer = {
   t_name : string;
-  mutable t_count : int;
-  mutable t_sum : float;
-  mutable t_max : float;
-  t_buckets : int array;
+  t_sum : float Atomic.t;
+  t_max : float Atomic.t;
+  t_buckets : int Atomic.t array;
 }
 
 type metric =
@@ -51,32 +48,6 @@ let registry_lock = Mutex.create ()
 let locked f =
   Mutex.lock registry_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock registry_lock) f
-
-(* --- domain shards --- *)
-
-(* A shard is a detached recording buffer: while one is installed in a
-   domain's local storage, every [incr]/[add]/[set]/[observe] of that
-   domain lands in the shard instead of the shared metric records, so
-   parallel workers never race on a counter. The driver that farmed the
-   work merges the shards back into the registry afterwards, in a
-   deterministic order. *)
-
-type sh_timer = {
-  mutable sh_count : int;
-  mutable sh_sum : float;
-  mutable sh_max : float;
-  sh_buckets : int array;
-}
-
-type shard = {
-  sh_counters : (string, int ref) Hashtbl.t;
-  sh_gauges : (string, float ref) Hashtbl.t;
-  sh_timers : (string, sh_timer) Hashtbl.t;
-}
-
-let shard_key : shard option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let current_shard () = Domain.DLS.get shard_key
 
 (* Two independent switches share the fast path: [flag] gates metric
    recording, [tracer] receives event-level begin/end/instant callbacks.
@@ -147,14 +118,14 @@ let register name make extract =
 let counter name =
   register name
     (fun () ->
-      let c = { c_name = name; c_value = 0 } in
+      let c = Atomic.make 0 in
       (c, Counter c))
     (function Counter c -> Some c | _ -> None)
 
 let gauge name =
   register name
     (fun () ->
-      let g = { g_name = name; g_value = 0.0; g_set = false } in
+      let g = Atomic.make None in
       (g, Gauge g))
     (function Gauge g -> Some g | _ -> None)
 
@@ -163,90 +134,49 @@ let timer name =
     (fun () ->
       let t =
         { t_name = name;
-          t_count = 0;
-          t_sum = 0.0;
-          t_max = 0.0;
-          t_buckets = Array.make n_buckets 0 }
+          t_sum = Atomic.make 0.0;
+          t_max = Atomic.make 0.0;
+          t_buckets = Array.init n_buckets (fun _ -> Atomic.make 0) }
       in
       (t, Timer t))
     (function Timer t -> Some t | _ -> None)
 
 (* --- recording --- *)
 
-(* The disabled path stays one load-and-branch; the enabled path pays one
-   domain-local read to find out whether a shard is installed. *)
+(* The disabled path stays one load-and-branch. *)
 
-let shard_bump sh name n =
-  match Hashtbl.find_opt sh.sh_counters name with
-  | Some r -> r := !r + n
-  | None -> Hashtbl.replace sh.sh_counters name (ref n)
-
-let add c n =
-  if !flag then
-    match current_shard () with
-    | None -> c.c_value <- c.c_value + n
-    | Some sh -> shard_bump sh c.c_name n
+let add c n = if !flag then ignore (Atomic.fetch_and_add c n)
 
 let incr c = add c 1
 
-let set g v =
-  if !flag then
-    match current_shard () with
-    | None ->
-      g.g_value <- v;
-      g.g_set <- true
-    | Some sh ->
-      (match Hashtbl.find_opt sh.sh_gauges g.g_name with
-       | Some r -> r := v
-       | None -> Hashtbl.replace sh.sh_gauges g.g_name (ref v))
+let set g v = if !flag then Atomic.set g (Some v)
+
+(* Float cells have no fetch-and-add: retry until no other domain wrote
+   between the read and the swap. The comparison is physical, on the very
+   box that was read. *)
+let rec add_float cell d =
+  let cur = Atomic.get cell in
+  if not (Atomic.compare_and_set cell cur (cur +. d)) then add_float cell d
+
+let rec raise_to cell d =
+  let cur = Atomic.get cell in
+  if d > cur && not (Atomic.compare_and_set cell cur d) then raise_to cell d
 
 let observe t d =
   if !flag then begin
     let d = Float.max 0.0 d in
-    match current_shard () with
-    | None ->
-      t.t_count <- t.t_count + 1;
-      t.t_sum <- t.t_sum +. d;
-      if d > t.t_max then t.t_max <- d;
-      let b = t.t_buckets in
-      let i = bucket_of d in
-      b.(i) <- b.(i) + 1
-    | Some sh ->
-      let st =
-        match Hashtbl.find_opt sh.sh_timers t.t_name with
-        | Some st -> st
-        | None ->
-          let st =
-            { sh_count = 0;
-              sh_sum = 0.0;
-              sh_max = 0.0;
-              sh_buckets = Array.make n_buckets 0 }
-          in
-          Hashtbl.replace sh.sh_timers t.t_name st;
-          st
-      in
-      st.sh_count <- st.sh_count + 1;
-      st.sh_sum <- st.sh_sum +. d;
-      if d > st.sh_max then st.sh_max <- d;
-      let i = bucket_of d in
-      st.sh_buckets.(i) <- st.sh_buckets.(i) + 1
+    add_float t.t_sum d;
+    raise_to t.t_max d;
+    Atomic.incr t.t_buckets.(bucket_of d)
   end
 
 let no_args () = []
 
-(* The ring-buffer tracer is a single shared collector and is not
-   domain-safe; while a shard is installed (i.e. inside a parallel worker
-   job) event emission is suppressed rather than interleaved. *)
-
 let trace_begin name args =
-  match !tracer with
-  | Some tr when current_shard () = None -> tr.on_begin name args
-  | _ -> ()
+  match !tracer with Some tr -> tr.on_begin name args | None -> ()
 
 let trace_end name =
-  match !tracer with
-  | Some tr when current_shard () = None -> tr.on_end name
-  | _ -> ()
+  match !tracer with Some tr -> tr.on_end name | None -> ()
 
 let time ?(args = no_args) t f =
   if not !hot then f ()
@@ -261,9 +191,7 @@ let time ?(args = no_args) t f =
   end
 
 let instant name args =
-  match !tracer with
-  | Some tr when current_shard () = None -> tr.on_instant name args
-  | _ -> ()
+  match !tracer with Some tr -> tr.on_instant name args | None -> ()
 
 (* --- spans --- *)
 
@@ -297,9 +225,9 @@ let with_span ?(args = no_args) name f =
 
 (* --- reading --- *)
 
-let counter_value c = c.c_value
+let counter_value c = Atomic.get c
 
-let gauge_value g = if g.g_set then Some g.g_value else None
+let gauge_value g = Atomic.get g
 
 type timer_stats = {
   count : int;
@@ -309,17 +237,15 @@ type timer_stats = {
 }
 
 let timer_stats t =
-  (* Read the bucket array once and derive [count] from that copy rather
-     than from [t_count]: unsharded recorders (a server worker crossing an
-     instrumented region mid-handler) race the two fields apart, and a
-     published histogram whose +Inf bucket disagrees with its _count fails
-     exposition validation. Deriving one from the other makes every
-     snapshot internally consistent no matter how the races land. *)
+  (* Read each bucket once and derive [count] from those reads: a snapshot
+     taken while other domains record still has its +Inf bucket equal to
+     its count, which exposition validation requires. *)
   let buckets =
-    List.init n_buckets (fun i -> (bucket_bounds.(i), t.t_buckets.(i)))
+    List.init n_buckets (fun i ->
+        (bucket_bounds.(i), Atomic.get t.t_buckets.(i)))
   in
   let count = List.fold_left (fun acc (_, n) -> acc + n) 0 buckets in
-  { count; sum = t.t_sum; max = t.t_max; buckets }
+  { count; sum = Atomic.get t.t_sum; max = Atomic.get t.t_max; buckets }
 
 type snapshot = {
   counters : (string * int) list;
@@ -331,12 +257,12 @@ let snapshot () =
   let counters = ref [] and gauges = ref [] and timers = ref [] in
   locked (fun () ->
       Hashtbl.iter
-        (fun _ metric ->
+        (fun name metric ->
           match metric with
-          | Counter c -> counters := (c.c_name, c.c_value) :: !counters
+          | Counter c -> counters := (name, Atomic.get c) :: !counters
           | Gauge g ->
-            if g.g_set then gauges := (g.g_name, g.g_value) :: !gauges
-          | Timer t -> timers := (t.t_name, timer_stats t) :: !timers)
+            Option.iter (fun v -> gauges := (name, v) :: !gauges) (Atomic.get g)
+          | Timer t -> timers := (name, timer_stats t) :: !timers)
         registry);
   let by_name (a, _) (b, _) = compare a b in
   { counters = List.sort by_name !counters;
@@ -354,75 +280,13 @@ let reset () =
       Hashtbl.iter
         (fun _ metric ->
           match metric with
-          | Counter c -> c.c_value <- 0
-          | Gauge g ->
-            g.g_value <- 0.0;
-            g.g_set <- false
+          | Counter c -> Atomic.set c 0
+          | Gauge g -> Atomic.set g None
           | Timer t ->
-            t.t_count <- 0;
-            t.t_sum <- 0.0;
-            t.t_max <- 0.0;
-            Array.fill t.t_buckets 0 n_buckets 0)
+            Atomic.set t.t_sum 0.0;
+            Atomic.set t.t_max 0.0;
+            Array.iter (fun b -> Atomic.set b 0) t.t_buckets)
         registry)
-
-(* --- shard lifecycle --- *)
-
-let create_shard () =
-  { sh_counters = Hashtbl.create 16;
-    sh_gauges = Hashtbl.create 4;
-    sh_timers = Hashtbl.create 16 }
-
-let with_new_shard f =
-  let sh = create_shard () in
-  let saved = Domain.DLS.get shard_key in
-  Domain.DLS.set shard_key (Some sh);
-  let v =
-    Fun.protect ~finally:(fun () -> Domain.DLS.set shard_key saved) f
-  in
-  (v, sh)
-
-let sorted_names tbl =
-  List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) tbl [])
-
-let shard_counters sh =
-  List.map
-    (fun name -> (name, !(Hashtbl.find sh.sh_counters name)))
-    (sorted_names sh.sh_counters)
-
-let merge_shard sh =
-  (* Fold the shard into the shared records. The recording was already
-     gated by the enable flag when it entered the shard, so merging is
-     unconditional; names are merged in sorted order so registration
-     order — and therefore any registry iteration — is deterministic. *)
-  List.iter
-    (fun name ->
-      let v = !(Hashtbl.find sh.sh_counters name) in
-      let c = counter name in
-      c.c_value <- c.c_value + v)
-    (sorted_names sh.sh_counters);
-  List.iter
-    (fun name ->
-      let v = !(Hashtbl.find sh.sh_gauges name) in
-      let g = gauge name in
-      (* High-water semantics: shards are parallel workers reporting levels
-         (queue depth, in-flight); "what was the worst moment" is the only
-         merge that doesn't depend on merge order. Coordinators that want
-         to overwrite (e.g. a final post-drain zero) call [set] directly
-         from outside any shard. *)
-      g.g_value <- (if g.g_set then Float.max g.g_value v else v);
-      g.g_set <- true)
-    (sorted_names sh.sh_gauges);
-  List.iter
-    (fun name ->
-      let st = Hashtbl.find sh.sh_timers name in
-      let t = timer name in
-      t.t_count <- t.t_count + st.sh_count;
-      t.t_sum <- t.t_sum +. st.sh_sum;
-      if st.sh_max > t.t_max then t.t_max <- st.sh_max;
-      for i = 0 to n_buckets - 1 do
-        t.t_buckets.(i) <- t.t_buckets.(i) + st.sh_buckets.(i)
-      done)
-    (sorted_names sh.sh_timers)
 
 (* --- JSON --- *)
 

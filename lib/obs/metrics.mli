@@ -14,14 +14,16 @@
     that need isolation, such as per-experiment benchmark sections, use
     {!reset} between measurements.
 
-    {b Domain safety.} Registration and snapshot/reset take an internal
-    lock, so handles may be created from any domain. Recording into the
-    shared records is {e not} synchronised — concurrent recorders must
-    instead run under {!with_new_shard}, which redirects every recording
-    operation on the calling domain into a private shard the coordinator
-    later folds back with {!merge_shard}. While a shard is installed the
-    tracer hooks are suppressed (the ring-buffer tracer is not
-    domain-safe); the span stack is domain-local throughout. *)
+    {b Domain safety.} Every cell is an [Atomic.t], so any domain records
+    into any handle directly and totals recorded from several domains at
+    once are exact: counters and histogram buckets add atomically, a
+    timer's sum and maximum update by compare-and-set. Registration,
+    {!snapshot} and {!reset} take an internal lock. A snapshot taken while
+    other domains record reads each cell once rather than one instant of
+    the whole registry, but a timer's [count] is derived from its buckets
+    as read, so it always equals their sum. The span stack is
+    domain-local; the tracer hooks run on whichever domain crosses the
+    instrumented region (see {!tracer}). *)
 
 type counter
 type gauge
@@ -56,8 +58,13 @@ type tracer = {
     through unforced so a tracer that drops an event (e.g. the server's
     per-request sampling gate) never pays for its annotations; force it at
     most once, at the moment the event is actually kept.
-    [Wolves_trace.Trace] provides the standard ring-buffer
-    implementation. *)
+
+    The hooks are called on whichever domain runs the region, concurrently
+    when several do (a parallel validate's pool workers, the server's
+    worker domains). A tracer must therefore be domain-safe or filter by
+    domain: [Wolves_trace.Trace]'s ring-buffer collector keeps only the
+    events of the domain that created it, and the server's sampling tracer
+    buffers per domain behind a domain-local gate. *)
 
 val set_tracer : tracer option -> unit
 (** Install (or remove, with [None]) the process-wide tracer. *)
@@ -118,37 +125,6 @@ val with_span : ?args:(unit -> span_args) -> string -> (unit -> 'a) -> 'a
 
 val span_stack : unit -> string list
 (** The names of the currently open spans, innermost first (for tests). *)
-
-(* --- per-domain shards --- *)
-
-type shard
-(** A private buffer of recordings, keyed by metric name. Worker domains
-    record into one; the coordinating domain merges them back. *)
-
-val with_new_shard : (unit -> 'a) -> 'a * shard
-(** Run a thunk with a fresh shard installed on the calling domain: every
-    {!incr}/{!add}/{!set}/{!observe} (and {!time}/{!with_span} recording)
-    inside it lands in the shard instead of the shared records, and the
-    tracer hooks stay silent. Returns the thunk's value and the shard; the
-    previous shard (if any — shards nest) is restored afterwards, also on
-    exceptions. The shard escapes deliberately: merge it with
-    {!merge_shard} from whichever domain coordinates the workers, in a
-    deterministic order if reproducible registries matter. *)
-
-val merge_shard : shard -> unit
-(** Fold a shard into the shared records: counter values and timer
-    count/sum/histograms add, timer maxima combine, and gauges merge as
-    {e high-water marks} — the merged value is the max of the current value
-    and the shard's last [set], so N shards merged in any order report the
-    worst level any worker saw. (A coordinator that needs to overwrite —
-    e.g. recording a final post-drain zero — calls {!set} directly from
-    outside any shard; direct sets always overwrite.) Call from one domain
-    at a time — typically the coordinator after joining its workers. Metric
-    names inside the shard are merged in sorted order, so
-    first-registration order is deterministic. *)
-
-val shard_counters : shard -> (string * int) list
-(** The counters recorded in a shard, sorted by name (for tests). *)
 
 (* --- reading --- *)
 

@@ -1,7 +1,8 @@
 (* Prometheus text exposition. Rendering is straight string building; the
-   interesting parts are the quantile estimator (shared with STATS and
-   wolves top) and [check], the validator CI runs against live scrapes so
-   a malformed page fails the build rather than the first real scraper. *)
+   interesting parts are the quantile estimator behind the [_quantile]
+   gauges (which [wolves top] reads) and [check], the validator CI runs
+   against live scrapes so a malformed page fails the build rather than
+   the first real scraper. *)
 
 let metric_name name =
   let buf = Buffer.create (String.length name + 1) in
@@ -39,20 +40,13 @@ let fmt v =
   else if v = Float.neg_infinity then "-Inf"
   else Printf.sprintf "%.12g" v
 
-let quantiles = [ 0.5; 0.9; 0.99 ]
+(* Every timer shares the registry's fixed bucket bounds, so their labels
+   (and the quantiles') are formatted once, here: a live scrape re-renders
+   the whole page per request and must not re-format hundreds of identical
+   floats. Immutable after initialisation, so any domain may render. *)
+let bound_labels = Array.map fmt Metrics.bucket_bounds
 
-(* Every timer shares the registry's fixed bucket bounds, so their rendered
-   forms are interned once: a live scrape re-renders the whole page per
-   request and must not re-format hundreds of identical floats. *)
-let fmt_bound =
-  let cache : (float, string) Hashtbl.t = Hashtbl.create 32 in
-  fun b ->
-    match Hashtbl.find_opt cache b with
-    | Some s -> s
-    | None ->
-      let s = fmt b in
-      if Hashtbl.length cache < 1024 then Hashtbl.replace cache b s;
-      s
+let quantiles = List.map (fun q -> (q, fmt q)) [ 0.5; 0.9; 0.99 ]
 
 (* Rendering writes straight into the buffer (no per-line ksprintf): the
    [METRICS] verb serves this page on a request path, concurrently with
@@ -80,10 +74,10 @@ let render (snap : Metrics.snapshot) =
         let n = metric_name name ^ "_seconds" in
         add "# TYPE "; add n; add " histogram\n";
         let seen = ref 0 in
-        List.iter
-          (fun (bound, k) ->
+        List.iteri
+          (fun i (_, k) ->
             seen := !seen + k;
-            add n; add "_bucket{le=\""; add (fmt_bound bound); add "\"} ";
+            add n; add "_bucket{le=\""; add bound_labels.(i); add "\"} ";
             add (string_of_int !seen); addc '\n')
           st.buckets;
         add n; add "_sum "; add (fmt st.sum); addc '\n';
@@ -92,8 +86,8 @@ let render (snap : Metrics.snapshot) =
         add n; add "_max "; add (fmt st.max); addc '\n';
         add "# TYPE "; add n; add "_quantile gauge\n";
         List.iter
-          (fun q ->
-            add n; add "_quantile{quantile=\""; add (fmt_bound q); add "\"} ";
+          (fun (q, label) ->
+            add n; add "_quantile{quantile=\""; add label; add "\"} ";
             add (fmt (percentile st q)); addc '\n')
           quantiles
       end)

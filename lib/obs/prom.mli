@@ -9,7 +9,8 @@
 
     Also home to {!check}, the in-repo exposition validator the CI smoke
     step runs against a live scrape, and {!percentile}, the histogram
-    quantile estimator shared with the [STATS] reply and [wolves top]. *)
+    quantile estimator behind the [_quantile] gauges. Rendering shares no
+    mutable state, so any domain may render concurrently. *)
 
 val metric_name : string -> string
 (** Sanitise a registry name into the Prometheus grammar
@@ -27,7 +28,9 @@ val percentile : Metrics.timer_stats -> float -> float
 val render : Metrics.snapshot -> string
 (** The full exposition page, [# TYPE]-annotated, families grouped,
     newline-terminated. Empty timers are omitted (no samples to expose);
-    never-set gauges already are by {!Metrics.snapshot}. *)
+    never-set gauges already are by {!Metrics.snapshot}. Each timer's
+    buckets must be the registry's, one per {!Metrics.bucket_bounds}
+    entry in order, as {!Metrics.timer_stats} returns them. *)
 
 val check : string -> (int, string) result
 (** Validate an exposition page: every sample line parses

@@ -107,15 +107,15 @@ let create_pool domains =
     Array.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker pool));
   pool
 
-(* The global pool, owned by whichever domain first submits work (in this
-   repository: the main domain). [busy] makes nested parallel calls — a job
-   function invoking parallel_for — run inline instead of deadlocking on
-   the single job slot; worker domains observe [busy = true] for the whole
-   job window because it is set before the job is published (mutex
-   release/acquire orders the write). *)
+(* The global pool and its single job slot belong to whichever submitter
+   holds [busy], claimed by compare-and-set. A submitter that loses the
+   claim runs its loop inline: a nested call (a job function invoking
+   parallel_for, which sees the claim its own submitter holds) as well as a
+   concurrent one from another domain (two server workers validating at
+   once). Only the holder calls [obtain] or touches the job slot. *)
 let global : pool option ref = ref None
 
-let busy = ref false
+let busy = Atomic.make false
 
 let shutdown () =
   match !global with
@@ -148,9 +148,15 @@ let parallel_for ?domains ?chunk n f =
   let domains =
     match domains with Some d when d >= 1 -> d | Some _ | None -> !default
   in
-  if domains <= 1 || n < 2 || !busy then sequential_for n f
+  if domains <= 1 || n < 2 || not (Atomic.compare_and_set busy false true)
+  then sequential_for n f
   else begin
-    let pool = obtain domains in
+    let pool =
+      try obtain domains
+      with e ->
+        Atomic.set busy false;
+        raise e
+    in
     let chunk =
       match chunk with
       | Some c when c >= 1 -> c
@@ -164,7 +170,6 @@ let parallel_for ?domains ?chunk n f =
         fail = Mutex.create ();
         exn = None }
     in
-    busy := true;
     Mutex.lock pool.lock;
     pool.job <- Some job;
     pool.active <- Array.length pool.workers;
@@ -178,7 +183,7 @@ let parallel_for ?domains ?chunk n f =
     done;
     pool.job <- None;
     Mutex.unlock pool.lock;
-    busy := false;
+    Atomic.set busy false;
     match job.exn with
     | Some (_, e) -> raise e
     | None -> ()

@@ -15,10 +15,13 @@
     busy-waiting — and the pool is resized lazily when the requested count
     changes.
 
-    Nested calls run inline: a job function that itself calls
-    {!parallel_for} or {!map_ordered} executes that inner loop
-    sequentially on its own domain, so composing parallel layers cannot
-    deadlock the pool. *)
+    The pool runs one job at a time, and a call that finds it taken runs
+    inline: a job function that itself calls {!parallel_for} or
+    {!map_ordered} executes that inner loop sequentially on its own
+    domain, and so does a call from another domain (two server workers
+    validating at once) while the pool is busy. Composing parallel layers
+    or submitting from several domains therefore cannot deadlock the
+    pool. *)
 
 val recommended_domains : unit -> int
 (** [Domain.recommended_domain_count ()]: the hardware parallelism
@@ -37,8 +40,9 @@ val parallel_for : ?domains:int -> ?chunk:int -> int -> (int -> unit) -> unit
     [domains] domains (default {!default_domains}) claim from a shared
     atomic counter. The call returns only after every index has run, and
     the pool's join synchronises memory: writes made by [f] are visible to
-    the caller afterwards. With [domains = 1], [n < 2] or from inside
-    another pool job, this is a plain sequential loop.
+    the caller afterwards. With [domains = 1], [n < 2], or while another
+    call holds the pool (from inside a pool job, or concurrently from
+    another domain), this is a plain sequential loop.
 
     [f] must only write to locations owned by its index (rows of a matrix,
     slots of an array): indexes run concurrently in unspecified order.

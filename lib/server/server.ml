@@ -93,6 +93,14 @@ module Hist = struct
       go 0 0
     end
 
+  (* The bucket-wise sum of several histograms, as a fresh one. *)
+  let merge (hs : t array) =
+    let sum cell =
+      Atomic.make (Array.fold_left (fun acc h -> acc + Atomic.get (cell h)) 0 hs)
+    in
+    { cells = Array.init buckets (fun i -> sum (fun h -> h.cells.(i)));
+      sum_us = sum (fun h -> h.sum_us) }
+
   (* (upper bound in seconds, cumulative count) per bucket, the last bound
      [infinity] — bucket [buckets-1] already catches everything beyond. *)
   let cumulative (h : t) =
@@ -126,7 +134,6 @@ type t = {
   queue : (Unix.file_descr * float) Queue.t;
   qlock : Mutex.t;
   qcond : Condition.t;
-  merge_lock : Mutex.t;  (** serialises obs shard merges across domains *)
   stop_lock : Mutex.t;
   mutable stopped : bool;
   mutable acceptor : unit Domain.t option;
@@ -136,30 +143,20 @@ type t = {
   active : Unix.file_descr option Atomic.t array;
       (** per-worker connection being served, for drain cut-off *)
   c_connections : int Atomic.t;
-  c_requests : int Atomic.t;
   c_errors : int Atomic.t;
   c_shed : int Atomic.t;
   c_timeouts : int Atomic.t;
   c_in_flight : int Atomic.t;
-  latency : Hist.t;
   next_req_id : int Atomic.t;
-  verb_requests : int Atomic.t array;  (** indexed like [verbs] *)
+  verb_requests : int Atomic.t array;
+      (** indexed like [verbs]; the request total is their sum *)
   verb_errors : int Atomic.t array;
   verb_latency : Hist.t array;
+      (** the latency of all requests is their bucket-wise sum *)
   trace_ring : Ring.t option;  (** sampled request spans, when sampling *)
   mutable saved_tracer : Metrics.tracer option;  (** restored on [stop] *)
   started_at : float;
 }
-
-(* Obs handles; recorded through per-domain shards (workers are not the
-   main domain), merged under [merge_lock]. *)
-let m_requests = Metrics.counter "server.requests"
-let m_errors = Metrics.counter "server.errors"
-let m_shed = Metrics.counter "server.shed"
-let m_connections = Metrics.counter "server.connections"
-let m_request_time = Metrics.timer "server.request"
-let m_queue_depth = Metrics.gauge "server.queue_depth"
-let m_in_flight = Metrics.gauge "server.in_flight"
 
 (* --- request-scoped trace sampling ---------------------------------- *)
 
@@ -210,7 +207,6 @@ let create ?(config = default_config) service =
     queue = Queue.create ();
     qlock = Mutex.create ();
     qcond = Condition.create ();
-    merge_lock = Mutex.create ();
     stop_lock = Mutex.create ();
     stopped = false;
     acceptor = None;
@@ -219,12 +215,10 @@ let create ?(config = default_config) service =
     socket_path = None;
     active = Array.init config.workers (fun _ -> Atomic.make None);
     c_connections = Atomic.make 0;
-    c_requests = Atomic.make 0;
     c_errors = Atomic.make 0;
     c_shed = Atomic.make 0;
     c_timeouts = Atomic.make 0;
     c_in_flight = Atomic.make 0;
-    latency = Hist.create ();
     next_req_id = Atomic.make 1;
     verb_requests = Array.init (Array.length verbs) (fun _ -> Atomic.make 0);
     verb_errors = Array.init (Array.length verbs) (fun _ -> Atomic.make 0);
@@ -242,9 +236,13 @@ let queue_len t =
 let stop_requested t = Atomic.get t.stop_flag
 let drained t = Atomic.get t.drained_flag
 
-let stats t =
+let verb_counts t = Array.map Atomic.get t.verb_requests
+
+(* [counts] comes from one [verb_counts] read, so a reply's request total
+   and its per-verb lines agree. *)
+let stats_of t counts =
   { connections = Atomic.get t.c_connections;
-    requests = Atomic.get t.c_requests;
+    requests = Array.fold_left ( + ) 0 counts;
     errors = Atomic.get t.c_errors;
     shed = Atomic.get t.c_shed;
     timeouts = Atomic.get t.c_timeouts;
@@ -252,8 +250,12 @@ let stats t =
     queue_depth = queue_len t;
     draining = stop_requested t }
 
+let stats t = stats_of t (verb_counts t)
+
 let stats_lines t =
-  let s = stats t in
+  let counts = verb_counts t in
+  let s = stats_of t counts in
+  let latency = Hist.merge t.verb_latency in
   [ Printf.sprintf "uptime_s %.3f" (Clock.elapsed_since t.started_at);
     Printf.sprintf "corpus %d" (Service.size t.service);
     Printf.sprintf "workers %d" t.config.workers;
@@ -261,16 +263,15 @@ let stats_lines t =
     Printf.sprintf "requests %d" s.requests ]
   @ Array.to_list
       (Array.mapi
-         (fun i verb ->
-           Printf.sprintf "requests_%s %d" verb (Atomic.get t.verb_requests.(i)))
+         (fun i verb -> Printf.sprintf "requests_%s %d" verb counts.(i))
          verbs)
   @ [ Printf.sprintf "errors %d" s.errors;
       Printf.sprintf "shed %d" s.shed;
       Printf.sprintf "timeouts %d" s.timeouts;
       Printf.sprintf "in_flight %d" s.in_flight;
       Printf.sprintf "queue_depth %d" s.queue_depth;
-      Printf.sprintf "latency_p50_ms %.3f" (Hist.quantile t.latency 0.5 *. 1e3);
-      Printf.sprintf "latency_p99_ms %.3f" (Hist.quantile t.latency 0.99 *. 1e3);
+      Printf.sprintf "latency_p50_ms %.3f" (Hist.quantile latency 0.5 *. 1e3);
+      Printf.sprintf "latency_p99_ms %.3f" (Hist.quantile latency 0.99 *. 1e3);
       Printf.sprintf "draining %b" s.draining ]
 
 (* --- Prometheus exposition ------------------------------------------ *)
@@ -278,9 +279,8 @@ let stats_lines t =
 let fmt_bound b = if b = infinity then "+Inf" else Printf.sprintf "%.12g" b
 
 (* The server's own families are rendered by hand under a [wolves_] prefix
-   so they can never collide with registry-derived names (the registry's
-   [server.requests] counter becomes [server_requests_total]); the
-   registry snapshot is appended through [Prom.render]. *)
+   so they can never collide with registry-derived names; the registry
+   snapshot is appended through [Prom.render]. *)
 let metrics_lines t =
   let buf = Buffer.create 4096 in
   let line fmt =
@@ -298,7 +298,9 @@ let metrics_lines t =
     line "# TYPE %s gauge" name;
     line "%s %s" name v
   in
-  let s = stats t in
+  let counts = verb_counts t in
+  let s = stats_of t counts in
+  let latency = Hist.merge t.verb_latency in
   gauge "wolves_server_uptime_seconds"
     (Printf.sprintf "%.3f" (Clock.elapsed_since t.started_at));
   counter "wolves_server_requests_total" s.requests;
@@ -313,7 +315,7 @@ let metrics_lines t =
   Array.iteri
     (fun i verb ->
       line "wolves_server_verb_requests_total{verb=\"%s\"} %d" verb
-        (Atomic.get t.verb_requests.(i)))
+        counts.(i))
     verbs;
   line "# TYPE wolves_server_verb_errors_total counter";
   Array.iteri
@@ -321,21 +323,21 @@ let metrics_lines t =
       line "wolves_server_verb_errors_total{verb=\"%s\"} %d" verb
         (Atomic.get t.verb_errors.(i)))
     verbs;
-  let total = Hist.count t.latency in
-  if total > 0 then begin
+  let n = Hist.count latency in
+  if n > 0 then begin
     line "# TYPE wolves_server_latency_seconds histogram";
     List.iter
       (fun (bound, cum) ->
         line "wolves_server_latency_seconds_bucket{le=\"%s\"} %d"
           (fmt_bound bound) cum)
-      (Hist.cumulative t.latency);
-    line "wolves_server_latency_seconds_sum %.9g" (Hist.sum_s t.latency);
-    line "wolves_server_latency_seconds_count %d" total;
+      (Hist.cumulative latency);
+    line "wolves_server_latency_seconds_sum %.9g" (Hist.sum_s latency);
+    line "wolves_server_latency_seconds_count %d" n;
     line "# TYPE wolves_server_latency_seconds_quantile gauge";
     List.iter
       (fun q ->
         line "wolves_server_latency_seconds_quantile{quantile=\"%g\"} %.9g" q
-          (Hist.quantile t.latency q))
+          (Hist.quantile latency q))
       [ 0.5; 0.9; 0.99 ]
   end;
   line "# TYPE wolves_server_verb_latency_seconds_quantile gauge";
@@ -355,15 +357,9 @@ let metrics_lines t =
       gauge "wolves_server_trace_ring_events" (string_of_int (Ring.length ring));
       counter "wolves_server_trace_ring_dropped_total" (Ring.dropped ring)
   | None -> ());
-  (* Registry families (only meaningful when serving with metrics on);
-     snapshot under merge_lock so no worker's half-merged shard is read. *)
-  let snap =
-    Mutex.lock t.merge_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.merge_lock)
-      Metrics.snapshot
-  in
-  Buffer.add_string buf (Prom.render snap);
+  (* Registry families: library code records into them only while the
+     registry is enabled ([wolves serve --metrics]). *)
+  Buffer.add_string buf (Prom.render (Metrics.snapshot ()));
   String.split_on_char '\n' (Buffer.contents buf)
   |> List.filter (fun l -> l <> "")
 
@@ -392,35 +388,6 @@ let handle_request t ?(spent_s = 0.) request =
   | request ->
       Service.handle ~domains:1 ~spent_s
         ?default_deadline_ms:t.config.default_deadline_ms t.service request
-
-(* Merge one request's metrics into the registry. Shards keep worker-domain
-   recording race-free; the merge itself is serialised by [merge_lock]
-   (merge_shard's contract is one merging domain at a time). *)
-let record_obs t ~kind ~is_error ~elapsed_s =
-  if Metrics.is_enabled () then begin
-    let (), shard =
-      Metrics.with_new_shard (fun () ->
-          Metrics.incr m_requests;
-          if is_error then Metrics.incr m_errors;
-          Metrics.observe m_request_time elapsed_s;
-          Metrics.set m_queue_depth (float_of_int (queue_len t));
-          Metrics.set m_in_flight (float_of_int (Atomic.get t.c_in_flight));
-          Metrics.instant "server.request" (fun () -> [ ("kind", kind) ]))
-    in
-    Mutex.lock t.merge_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.merge_lock)
-      (fun () -> Metrics.merge_shard shard)
-  end
-
-let merge_counter t counter =
-  if Metrics.is_enabled () then begin
-    let (), shard = Metrics.with_new_shard (fun () -> Metrics.incr counter) in
-    Mutex.lock t.merge_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.merge_lock)
-      (fun () -> Metrics.merge_shard shard)
-  end
 
 (* --- access log ------------------------------------------------------ *)
 
@@ -486,7 +453,6 @@ let log_request t ~rid ~kind ~parsed ~reply ~queued_s ~handler_s ~elapsed_s
 
 let serve_connection t ?(queued_s = 0.) (conn : Net_io.t) =
   Atomic.incr t.c_connections;
-  merge_counter t m_connections;
   let reader = Net_io.Lines.reader conn in
   (* best-effort send: a dying peer must not take the worker with it *)
   let send s =
@@ -586,8 +552,6 @@ let serve_connection t ?(queued_s = 0.) (conn : Net_io.t) =
              let rendered = Protocol.render reply in
              let sent_ok = send rendered in
              let elapsed_s = Clock.elapsed_since t0 in
-             Hist.observe t.latency elapsed_s;
-             Atomic.incr t.c_requests;
              let vi = verb_index kind in
              Atomic.incr t.verb_requests.(vi);
              Hist.observe t.verb_latency.(vi) elapsed_s;
@@ -599,7 +563,6 @@ let serve_connection t ?(queued_s = 0.) (conn : Net_io.t) =
                Atomic.incr t.verb_errors.(vi)
              end;
              Atomic.decr t.c_in_flight;
-             record_obs t ~kind ~is_error ~elapsed_s;
              log_request t ~rid ~kind ~parsed ~reply ~queued_s:this_queued_s
                ~handler_s ~elapsed_s ~bytes_in:(String.length line + 1)
                ~bytes_out:(String.length rendered) ~sampled:(sample_buf <> None)
@@ -628,7 +591,6 @@ let serve_connection t ?(queued_s = 0.) (conn : Net_io.t) =
 
 let shed_connection t fd =
   Atomic.incr t.c_shed;
-  merge_counter t m_shed;
   let rid = Atomic.fetch_and_add t.next_req_id 1 in
   Log.event Log.Info "request" (fun () ->
       (* the request line was never read — the connection was refused at
@@ -823,13 +785,6 @@ let stop t =
         Mutex.unlock t.qlock;
         List.iter Domain.join t.worker_domains;
         t.worker_domains <- [];
-        (* flush final gauge values so a post-drain dump reads zero —
-           directly, not via a shard: shards merge as high-water marks and
-           would keep the busy-period peak instead of the zero *)
-        if Metrics.is_enabled () then begin
-          Metrics.set m_queue_depth 0.;
-          Metrics.set m_in_flight 0.
-        end;
         (* hand the tracer slot back and get the access log on disk *)
         if t.trace_ring <> None then Metrics.set_tracer t.saved_tracer;
         Log.flush ();

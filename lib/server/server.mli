@@ -21,13 +21,14 @@
     - {b Graceful drain}: {!request_stop} (safe from a signal handler)
       stops the acceptor; in-flight requests finish, queued-but-unserved
       connections get [ERR shutting-down], stragglers are cut after a
-      grace period, metrics are flushed, and {!stop} returns — the CLI
-      then exits 0.
+      grace period, the access log is flushed, and {!stop} returns — the
+      CLI then exits 0.
     - {b Observability}: every request gets a monotonically assigned id
       and (when a {!Wolves_obs.Log} sink is installed) one structured
       access-log record carrying verb, deadline, queue wait, handler time,
-      bytes and outcome; per-verb counters and latency histograms feed the
-      [STATS] reply and the [METRICS] Prometheus exposition; with
+      bytes and outcome; the server's own always-on per-verb counters and
+      latency histograms, recorded once per request, feed the [STATS]
+      reply and the [METRICS] Prometheus exposition; with
       [trace_sample > 0] every Nth request's spans are buffered
       domain-locally and committed contiguously to a shared ring, drained
       live by the [TRACE] verb.
@@ -65,7 +66,9 @@ val default_config : config
 (** Counter snapshot behind the [STATS] request. *)
 type stats = {
   connections : int;  (** accepted and handed to a worker *)
-  requests : int;  (** request lines answered (including errors) *)
+  requests : int;
+      (** request lines answered (including errors): the sum of the
+          per-verb counters *)
   errors : int;  (** [ERR] replies *)
   shed : int;  (** connections refused with [OVERLOADED] *)
   timeouts : int;  (** connections cut by a receive/send deadline *)
@@ -77,7 +80,7 @@ type stats = {
 type t
 
 val create : ?config:config -> Service.t -> t
-(** A server with no listener: counters, histogram and dispatch only.
+(** A server with no listener: counters, histograms and dispatch only.
     This is what the chaos tests drive via {!serve_connection}. *)
 
 type listen = Tcp of string * int | Unix_socket of string
@@ -116,9 +119,11 @@ val stats_lines : t -> string list
 val metrics_lines : t -> string list
 (** The [METRICS] reply payload: Prometheus text exposition of the
     server's own families ([wolves_server_*]: counters, per-verb counters,
-    the latency histogram with explicit bucket bounds and [+Inf], derived
-    quantile gauges) followed by the {!Wolves_obs.Metrics} registry
-    rendered by {!Wolves_obs.Prom.render}. *)
+    the latency histogram over all verbs with explicit bucket bounds and
+    [+Inf], derived quantile gauges) followed by the {!Wolves_obs.Metrics}
+    registry rendered by {!Wolves_obs.Prom.render}. Library code records
+    into the registry only while it is enabled ([wolves serve
+    --metrics]). *)
 
 val trace_events : t -> Wolves_trace.Trace.event list
 (** The sampled-request events currently retained in the trace ring,
@@ -133,8 +138,7 @@ val stop_requested : t -> bool
 val stop : t -> unit
 (** Drain and join everything; idempotent, safe to call concurrently.
     After [stop], the listener is closed (and a Unix socket path
-    unlinked), all domains are joined, and final gauge values are
-    flushed to {!Wolves_obs.Metrics}. *)
+    unlinked), all domains are joined, and the access log is flushed. *)
 
 val drained : t -> bool
 (** The server has fully stopped (all domains joined). *)

@@ -86,13 +86,19 @@ let drain t =
       clear_unlocked t;
       evs)
 
-(* This collector keeps every event, so the annotation thunk is forced
-   right away (exactly once). *)
+(* The ring is read back as one nested stream, so the tracer keeps only
+   the events of the domain that created it: a pool worker's spans,
+   interleaved with the creator's, would pair Begins with the wrong Ends.
+   A kept event's annotation thunk is forced right away (exactly once). *)
 let tracer t =
+  let owner = Domain.self () in
+  let mine () = Domain.self () = owner in
   {
-    Metrics.on_begin = (fun name args -> record t Begin name (args ()));
-    on_end = (fun name -> record t End name []);
-    on_instant = (fun name args -> record t Instant name (args ()));
+    Metrics.on_begin =
+      (fun name args -> if mine () then record t Begin name (args ()));
+    on_end = (fun name -> if mine () then record t End name []);
+    on_instant =
+      (fun name args -> if mine () then record t Instant name (args ()));
   }
 
 let install t = Metrics.set_tracer (Some (tracer t))

@@ -78,10 +78,15 @@ val drain : t -> event list
     lost. *)
 
 val tracer : t -> Wolves_obs.Metrics.tracer
-(** The collector as a metrics-registry tracer. *)
+(** The collector as a metrics-registry tracer. It keeps only the events
+    emitted on the domain that called [tracer] and drops the rest
+    uncounted, so the ring always reads back as one nested stream: a run
+    parallelised over a domain pool traces the regions the calling domain
+    ran itself, not its workers'. *)
 
 val install : t -> unit
-(** [Metrics.set_tracer (Some (tracer t))]. *)
+(** [Metrics.set_tracer (Some (tracer t))]: collects the calling domain's
+    events. *)
 
 val uninstall : unit -> unit
 (** Remove whatever tracer is installed. *)

@@ -1,6 +1,6 @@
 (* The Wolves_obs observability stack: the metrics registry (enable-flag
-   gating, counter/gauge/timer semantics, span nesting, shard merges, reset,
-   a round-trip through the JSON dump), the monotonic clock's clamping, the
+   gating, counter/gauge/timer semantics, span nesting, reset, a round-trip
+   through the JSON dump), the monotonic clock's clamping, the
    structured JSONL logger, and the Prometheus exposition
    renderer/validator. *)
 
@@ -414,37 +414,6 @@ let test_json_round_trip () =
     (List.for_all (fun (_, v) -> as_num v > 0.0) buckets)
 
 (* ------------------------------------------------------------------ *)
-(* shard merges: gauges are high-water marks                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_gauge_merge_high_water () =
-  M.reset ();
-  let g = M.gauge "test.merge.g" in
-  M.enabled (fun () ->
-      M.set g 3.0;
-      let (), sh_high = M.with_new_shard (fun () -> M.set g 7.0) in
-      let (), sh_low = M.with_new_shard (fun () -> M.set g 5.0) in
-      (* merge order must not matter: the registry keeps the worst level
-         any worker saw *)
-      M.merge_shard sh_high;
-      check_bool "higher shard raises the gauge" true
-        (M.gauge_value g = Some 7.0);
-      M.merge_shard sh_low;
-      check_bool "lower shard cannot lower it" true
-        (M.gauge_value g = Some 7.0);
-      (* a coordinator that needs to overwrite uses a direct set *)
-      M.set g 1.0;
-      check_bool "direct set overwrites the high-water mark" true
-        (M.gauge_value g = Some 1.0));
-  (* a never-set gauge adopts the shard's value on first merge *)
-  let fresh = M.gauge "test.merge.fresh" in
-  M.enabled (fun () ->
-      let (), sh = M.with_new_shard (fun () -> M.set fresh 2.0) in
-      M.merge_shard sh);
-  check_bool "unset gauge adopts the merged value" true
-    (M.gauge_value fresh = Some 2.0)
-
-(* ------------------------------------------------------------------ *)
 (* clock clamping, percentile estimation                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -608,6 +577,32 @@ let test_prom_render_passes_check () =
   check_bool "empty timer omitted" false
     (List.exists (fun l -> contains l "test_prom_empty") lines)
 
+(* Rendering shares no mutable state: four domains rendering the same
+   snapshot at once, each from its first page on, produce the same valid
+   page. *)
+let test_prom_render_concurrent () =
+  M.reset ();
+  let t = M.timer "test.prom.concurrent" in
+  M.enabled (fun () -> List.iter (M.observe t) [ 1e-6; 1e-3; 0.5; 300. ]);
+  let snap = M.snapshot () in
+  let go = Atomic.make false in
+  let renderers =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get go) do
+              Domain.cpu_relax ()
+            done;
+            List.init 50 (fun _ -> P.render snap)))
+  in
+  Atomic.set go true;
+  let pages = List.concat_map Domain.join renderers in
+  let reference = P.render snap in
+  check_bool "every page byte-identical" true
+    (List.for_all (String.equal reference) pages);
+  match P.check reference with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "concurrent page fails the checker: %s" e
+
 let test_prom_check_rejects () =
   let histogram header buckets tail =
     String.concat "\n" (("# TYPE h histogram" :: header) @ buckets @ tail)
@@ -671,9 +666,7 @@ let () =
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "reset unwinds the span stack" `Quick
             test_reset_unwinds_span_stack;
-          Alcotest.test_case "JSON round-trip" `Quick test_json_round_trip;
-          Alcotest.test_case "gauges merge as high-water marks" `Quick
-            test_gauge_merge_high_water ] );
+          Alcotest.test_case "JSON round-trip" `Quick test_json_round_trip ] );
       ( "clock",
         [ Alcotest.test_case "elapsed_since clamps at zero" `Quick
             test_clock_clamping ] );
@@ -689,6 +682,10 @@ let () =
             test_prom_metric_name;
           Alcotest.test_case "percentile error bounds" `Quick
             test_percentile_bounds;
+          (* before any other render: a label cache filled on first use
+             would be filled by its racing domains *)
+          Alcotest.test_case "concurrent renders agree" `Quick
+            test_prom_render_concurrent;
           Alcotest.test_case "render passes check" `Quick
             test_prom_render_passes_check;
           Alcotest.test_case "check rejects malformed pages" `Quick

@@ -1,7 +1,7 @@
 (* The domain pool and the parallel = sequential contracts: closure rows,
    soundness verdicts and corrector outputs must be byte-identical at every
-   domain count, and per-domain metric shards must merge to the totals the
-   sequential run records. *)
+   domain count, and metrics recorded from several domains at once must
+   add up to the totals the sequential run records. *)
 
 module Par = Wolves_par.Par
 module Bitset = Wolves_graph.Bitset
@@ -84,6 +84,32 @@ let test_shutdown_restart_cycles () =
   check_bool "parallel_for covers after restart" true
     (Array.for_all (( = ) 1) hits);
   Par.shutdown ()
+
+(* Two domains submitting to the pool at once: one holds it, the other
+   runs inline, and both finish every round with the right answer. A pool
+   that deadlocks here can stall the whole runtime, polling domain
+   included, so the watchdog is a plain SIGALRM: it kills the test binary
+   within seconds instead of hanging the suite. *)
+let test_concurrent_submitters () =
+  let rounds = 20_000 in
+  let input = Array.init 16 Fun.id in
+  let expect = Array.map (fun i -> i * i) input in
+  let submitter () =
+    let ok = ref true in
+    for _ = 1 to rounds do
+      if Par.map_ordered ~domains:4 (fun i -> i * i) input <> expect then
+        ok := false
+    done;
+    !ok
+  in
+  Sys.set_signal Sys.sigalrm Sys.Signal_default;
+  ignore (Unix.alarm 20);
+  let results =
+    List.map Domain.join (List.init 2 (fun _ -> Domain.spawn submitter))
+  in
+  ignore (Unix.alarm 0);
+  check_bool "every round of both submitters correct" true
+    (List.for_all Fun.id results)
 
 let test_nested_inline_single_domain () =
   (* With the process default pinned to 1 domain, nesting must stay fully
@@ -194,11 +220,11 @@ let test_correct_families () =
     corpus
 
 (* ------------------------------------------------------------------ *)
-(* Metric shards                                                       *)
+(* Recording from several domains                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The registry totals a parallel validate merges back must equal the
-   sequential run's, counter for counter. *)
+(* The registry totals of a parallel validate must equal the sequential
+   run's, counter for counter. *)
 let test_validate_metric_totals () =
   let spec = Gen.generate Gen.Layered ~seed:9 ~size:80 in
   let view =
@@ -218,34 +244,39 @@ let test_validate_metric_totals () =
   List.iter
     (fun d ->
       check_bool
-        (Printf.sprintf "shard totals match sequential at %d domains" d)
+        (Printf.sprintf "parallel totals match sequential at %d domains" d)
         true
         (soundness_counters d = reference))
     [ 2; 4; 8 ]
 
-(* Shards from explicitly spawned domains: recordings stay private until
-   the coordinator merges them, and the merge adds up. *)
-let test_shard_merge_across_domains () =
+(* Four spawned domains record into one counter and one timer at once: no
+   update is lost. Every observation is a multiple of 2^-10 s, so the
+   timer's sum is exact in any order of addition. *)
+let test_domains_record_directly () =
   Metrics.reset ();
-  let c = Metrics.counter "test.par.shard_merge" in
-  Metrics.enabled @@ fun () ->
-  let workers =
-    Array.init 2 (fun k ->
-        Domain.spawn (fun () ->
-            snd
-              (Metrics.with_new_shard (fun () ->
-                   for _ = 1 to 50 + k do
-                     Metrics.incr c
-                   done))))
-  in
-  let shards = Array.map Domain.join workers in
-  check_int "shared record untouched before merge" 0 (Metrics.counter_value c);
-  Alcotest.(check (list (pair string int)))
-    "shard contents readable"
-    [ ("test.par.shard_merge", 50) ]
-    (Metrics.shard_counters shards.(0));
-  Array.iter Metrics.merge_shard shards;
-  check_int "merged total" 101 (Metrics.counter_value c)
+  let c = Metrics.counter "test.par.direct" in
+  let t = Metrics.timer "test.par.direct_time" in
+  let per_domain = 10_000 in
+  let unit_s = 1. /. 1024. in
+  Metrics.enabled (fun () ->
+      List.init 4 (fun _ ->
+          Domain.spawn (fun () ->
+              for i = 1 to per_domain do
+                Metrics.incr c;
+                Metrics.observe t (float_of_int (i mod 8) *. unit_s)
+              done))
+      |> List.iter Domain.join);
+  let total = 4 * per_domain in
+  check_int "counter total" total (Metrics.counter_value c);
+  let st = Metrics.timer_stats t in
+  check_int "timer count" total st.Metrics.count;
+  check_int "+Inf bucket (all buckets) = count" st.Metrics.count
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 st.Metrics.buckets);
+  (* each domain adds 1..7 then 0, per_domain / 8 times *)
+  Alcotest.(check (float 0.)) "timer sum"
+    (float_of_int (4 * (per_domain / 8) * 28) *. unit_s)
+    st.Metrics.sum;
+  Alcotest.(check (float 0.)) "timer max" (7. *. unit_s) st.Metrics.max
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -261,7 +292,9 @@ let () =
           Alcotest.test_case "shutdown/restart cycles" `Quick
             test_shutdown_restart_cycles;
           Alcotest.test_case "nested inline under 1 domain" `Quick
-            test_nested_inline_single_domain ] );
+            test_nested_inline_single_domain;
+          Alcotest.test_case "concurrent submitters" `Quick
+            test_concurrent_submitters ] );
       ( "determinism",
         [ qt closure_par_eq_seq;
           Alcotest.test_case "closure over families" `Slow
@@ -269,8 +302,8 @@ let () =
           Alcotest.test_case "validate over families" `Slow
             test_validate_families;
           Alcotest.test_case "correct over corpus" `Slow test_correct_families ] );
-      ( "shards",
+      ( "registry",
         [ Alcotest.test_case "validate metric totals" `Quick
             test_validate_metric_totals;
-          Alcotest.test_case "merge across domains" `Quick
-            test_shard_merge_across_domains ] ) ]
+          Alcotest.test_case "domains record directly" `Quick
+            test_domains_record_directly ] ) ]

@@ -803,7 +803,22 @@ let test_socket_end_to_end () =
               check_bool "per-verb validate counter" true
                 (List.mem "requests_validate 2" lines);
               check_bool "per-verb malformed counter" true
-                (List.mem "requests_malformed 1" lines)
+                (List.mem "requests_malformed 1" lines);
+              (* the total is counted once: it is the per-verb sum *)
+              let value key =
+                List.find_map
+                  (fun l ->
+                    match String.split_on_char ' ' l with
+                    | [ k; v ] when k = key -> int_of_string_opt v
+                    | _ -> None)
+                  lines
+              in
+              check_int "requests = sum of requests_<verb>"
+                (Array.fold_left
+                   (fun acc verb ->
+                     acc + Option.get (value ("requests_" ^ verb)))
+                   0 Server.verbs)
+                (Option.get (value "requests"))
           | r -> Alcotest.failf "stats: %s" (Protocol.render r)));
       let s = Server.stats srv in
       check_bool "requests counted" true (s.Server.requests >= 13);
@@ -832,6 +847,14 @@ let test_socket_metrics_exposition () =
               check_bool "per-verb counter exposed" true
                 (List.mem
                    "wolves_server_verb_requests_total{verb=\"ping\"} 1" lines);
+              check_bool "request total exposed" true
+                (List.mem "wolves_server_requests_total 3" lines);
+              check_bool "no server_* registry mirror" false
+                (List.exists
+                   (fun l ->
+                     String.starts_with ~prefix:"server_" l
+                     || String.starts_with ~prefix:"# TYPE server_" l)
+                   lines);
               check_bool "latency histogram exposed" true
                 (List.exists
                    (fun l ->

@@ -24,8 +24,8 @@ let unsound_view () =
   Views.inject_unsoundness ~seed:4 ~attempts:80 view
 
 (* Pin the corrector to one domain: these tests assert on the event stream,
-   and parallel workers record into metric shards with the tracer
-   suppressed, so their per-composite spans would not be captured. *)
+   and at more domains the collector keeps only the per-composite spans its
+   own domain ran, not the pool workers'. *)
 let traced_correction () =
   let view = unsound_view () in
   let c = T.create () in
@@ -60,6 +60,17 @@ let test_ring_overflow () =
     (Invalid_argument "Trace.create: capacity must be >= 1")
     (fun () -> ignore (T.create ~capacity:0 ()))
 
+(* The collector keeps only the events of the domain that installed it: a
+   region another domain crosses meanwhile leaves no trace. *)
+let test_tracer_keeps_own_domain () =
+  let c = T.create () in
+  T.with_tracing c (fun () ->
+      M.with_span "mine" (fun () ->
+          Domain.join (Domain.spawn (fun () -> M.with_span "theirs" ignore))));
+  check_bool "only the installing domain's span" true
+    (List.map (fun (e : T.event) -> (e.T.phase, e.T.name)) (T.events c)
+     = [ (T.Begin, "mine"); (T.End, "mine") ])
+
 (* ------------------------------------------------------------------ *)
 (* span reconstruction                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -89,6 +100,28 @@ let test_spans_orphan_and_unclosed () =
   let a = List.find (fun (s : T.span) -> s.T.stack = [ "a" ]) spans in
   check (Alcotest.float 1e-9) "synthesized end uses the last ts" 2.0
     a.T.end_ts
+
+(* At 4 domains the pool's workers cross instrumented regions too; the
+   collector keeps only its own domain's events, so the stream still nests:
+   no orphaned End, no span left open, every span under the root. *)
+let test_spans_parallel_correction () =
+  let view = unsound_view () in
+  check_bool "the corrector farms: several unsound composites" true
+    (List.length (Wolves_core.Soundness.validate view).unsound >= 2);
+  let c = T.create () in
+  ignore (T.with_tracing c (fun () -> C.correct ~domains:4 C.Strong view));
+  let evs = T.events c in
+  let spans, orphans = T.spans evs in
+  let count phase =
+    List.length (List.filter (fun (e : T.event) -> e.T.phase = phase) evs)
+  in
+  check_int "no orphaned End" 0 orphans;
+  check_int "no unclosed span" (count T.Begin) (count T.End);
+  check_int "one span per Begin" (count T.Begin) (List.length spans);
+  check_bool "every span nests under corrector.correct" true
+    (List.for_all
+       (fun (sp : T.span) -> List.hd sp.T.stack = "corrector.correct")
+       spans)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event export                                           *)
@@ -324,11 +357,15 @@ let test_json_parser () =
 let () =
   Alcotest.run "trace"
     [ ( "ring",
-        [ Alcotest.test_case "overflow drops oldest" `Quick test_ring_overflow ] );
+        [ Alcotest.test_case "overflow drops oldest" `Quick test_ring_overflow;
+          Alcotest.test_case "tracer keeps its own domain" `Quick
+            test_tracer_keeps_own_domain ] );
       ( "spans",
         [ Alcotest.test_case "nested reconstruction" `Quick test_spans_nested;
           Alcotest.test_case "orphans and unclosed" `Quick
-            test_spans_orphan_and_unclosed ] );
+            test_spans_orphan_and_unclosed;
+          Alcotest.test_case "parallel correction nests" `Quick
+            test_spans_parallel_correction ] );
       ( "export",
         [ Alcotest.test_case "chrome structure" `Quick test_chrome_structure;
           Alcotest.test_case "chrome balances after truncation" `Quick
