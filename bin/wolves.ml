@@ -460,7 +460,8 @@ let generate_cmd =
            ~doc:"Workflow family: layered, erdos-renyi, series-parallel, pipeline.")
   in
   let size =
-    Arg.(value & opt int 20 & info [ "size" ] ~docv:"N" ~doc:"Number of tasks.")
+    Arg.(value & opt int 20 & info [ "size" ] ~docv:"N"
+           ~doc:"Number of tasks (with $(b,--suite): the scale is N / 4).")
   in
   let seed = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
   let group =
@@ -487,7 +488,7 @@ let generate_cmd =
     Arg.(value & opt (some suite_conv) None & info [ "suite" ] ~docv:"SUITE"
            ~doc:"Scientific-workflow template instead of a random family: \
                  montage, cybershake, epigenomics, ligo (with its natural \
-                 per-stage view; --size is the scale).")
+                 per-stage view) at scale --size / 4, at least 1.")
   in
   let run family suite_opt size seed group unsound out =
     if size < 2 then fail "size must be at least 2"

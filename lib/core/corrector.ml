@@ -5,6 +5,7 @@ module Reach = Wolves_graph.Reach
 module Obs = Wolves_obs.Metrics
 module Clock = Wolves_obs.Clock
 module Par = Wolves_par.Par
+module Frame = Soundness.Frame
 
 (* Registry counters (recorded only while metrics are enabled). The local
    [ctx] counters below always run: they feed the per-outcome numbers. *)
@@ -16,6 +17,7 @@ let m_closure_branches = Obs.counter "corrector.closure.branches"
 let m_budget_exhausted = Obs.counter "corrector.closure.budget_exhausted"
 let m_certified = Obs.counter "corrector.certified"
 let m_uncertified = Obs.counter "corrector.uncertified"
+let m_certify_repairs = Obs.counter "corrector.certify.repairs"
 let m_anytime_nodes = Obs.counter "corrector.anytime.nodes"
 let m_anytime_proven = Obs.counter "corrector.anytime.proven"
 let m_anytime_cut = Obs.counter "corrector.anytime.budget_cut"
@@ -24,6 +26,7 @@ let m_deadline_strong = Obs.counter "corrector.deadline.answered_strong"
 let m_deadline_optimal = Obs.counter "corrector.deadline.answered_optimal"
 let t_split = Obs.timer "corrector.split"
 let t_deadline = Obs.timer "corrector.with_deadline"
+let t_certify = Obs.timer "corrector.certify"
 
 type criterion =
   | Weak
@@ -58,13 +61,28 @@ type config = {
 let default_config =
   { branch_budget = 64; certify = true; certify_limit = 18; optimal_max_tasks = 18 }
 
+(* Every limit whose masks count 2^limit subsets must leave [1 lsl limit]
+   a non-negative int: at 63 bits, [1 lsl 63 = 0] and [1 lsl 64 = 1], so an
+   unchecked loop would enumerate nothing and still certify. *)
+let check_config config =
+  let check field limit =
+    if limit > Frame.max_parts then
+      invalid_arg
+        (Printf.sprintf
+           "Corrector: %s = %d exceeds %d (its 2^%d masks must fit a \
+            non-negative int)"
+           field limit Frame.max_parts limit)
+  in
+  check "certify_limit" config.certify_limit;
+  check "optimal_max_tasks" config.optimal_max_tasks
+
 (* Shared mutable state of one correction run: the specification and two
-   counters. [checks] counts real [Soundness.subset_sound] /
-   [Soundness.subset_witnesses] evaluations — the unit the paper's complexity
-   claims are phrased in. [probes] counts the cheaper auxiliary evaluations
-   (the anytime search's partial pruning probes, the optimal DP's
-   bit-parallel mask evaluations) that must NOT inflate the paper-comparable
-   metric. *)
+   counters. [checks] counts subset-soundness evaluations (Def 2.3), once
+   each however they are decided — on the split's member frame or by
+   [Soundness.subset_sound] — the unit the paper's complexity claims are
+   phrased in. [probes] counts the cheaper auxiliary evaluations (the
+   anytime search's partial pruning probes, the optimal DP's bit-parallel
+   mask evaluations) that must NOT inflate the paper-comparable metric. *)
 type ctx = {
   spec : Spec.t;
   n : int;
@@ -83,30 +101,37 @@ let make_ctx spec =
   { spec; n = Spec.n_tasks spec; checks = ref 0; probes = ref 0;
     stop = no_stop }
 
-let sound ctx set =
+let count_check ctx =
   if ctx.stop () then raise Expired;
   incr ctx.checks;
-  Obs.incr m_checks;
+  Obs.incr m_checks
+
+let sound ctx set =
+  count_check ctx;
   Soundness.subset_sound ctx.spec set
 
-let witnesses ctx set =
-  if ctx.stop () then raise Expired;
-  incr ctx.checks;
-  Obs.incr m_checks;
-  Soundness.subset_witnesses ctx.spec set
+let frame_sound ctx fr u =
+  count_check ctx;
+  Frame.sound fr u
+
+let frame_witness ctx fr u =
+  count_check ctx;
+  Frame.first_witness fr u
+
+let parts_sound ctx fr ps mask =
+  count_check ctx;
+  Frame.parts_sound fr ps mask
 
 (* ------------------------------------------------------------------ *)
 (* Weak local optimality: greedy pair merging from singletons.         *)
 (* ------------------------------------------------------------------ *)
 
-(* Parts are bitsets ordered by smallest member; merging part j into part
-   i < j preserves that order, so the algorithm is deterministic. *)
-let weak_split ctx members =
-  let parts =
-    ref
-      (Array.of_list
-         (List.map (fun t -> Bitset.of_list ctx.n [ t ]) members))
-  in
+(* Parts are frame sets ordered by smallest member; merging part j into
+   part i < j preserves that order, so the algorithm is deterministic. Each
+   candidate union is built in the one scratch set [u], which is kept only
+   when the merge happens. *)
+let weak_split ctx fr =
+  let parts = ref (Array.init (Frame.size fr) (Frame.singleton fr)) in
   let remove_at j =
     let old = !parts in
     parts :=
@@ -114,6 +139,7 @@ let weak_split ctx members =
         (Array.length old - 1)
         (fun k -> if k < j then old.(k) else old.(k + 1))
   in
+  let u = ref (Frame.empty fr) in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -121,10 +147,12 @@ let weak_split ctx members =
     while !i < Array.length !parts do
       let j = ref (!i + 1) in
       while !j < Array.length !parts do
-        let u = Bitset.union (!parts).(!i) (!parts).(!j) in
-        if sound ctx u then begin
+        Array.blit (!parts).(!i) 0 !u 0 fr.Frame.words;
+        Frame.union_into ~into:!u (!parts).(!j);
+        if frame_sound ctx fr !u then begin
           Obs.incr m_weak_merges;
-          (!parts).(!i) <- u;
+          (!parts).(!i) <- !u;
+          u := Frame.empty fr;
           remove_at !j;
           changed := true
         end
@@ -146,38 +174,26 @@ let weak_split ctx members =
    predecessor of x, only possible when they all lie inside the composite) or
    dually the parts consuming y. Forced repairs are applied directly;
    two-sided choices branch within [budget]. *)
-let try_closure ctx ~budget parts part_of_task seed_i seed_j =
+let try_closure ctx fr ~budget parts part_of seed_i seed_j =
   let p = Array.length parts in
   let union_of included =
-    let u = Bitset.create ctx.n in
+    let u = Frame.empty fr in
     for k = 0 to p - 1 do
-      if included.(k) then Bitset.union_into ~into:u parts.(k)
+      if included.(k) then Frame.union_into ~into:u parts.(k)
     done;
     u
   in
-  let g = Spec.graph ctx.spec in
-  (* Parts (indices) that must be absorbed so that [x] stops being an
-     input of [u]; None when impossible (an outside-the-composite task or an
-     already absorbed-free boundary feeds x). *)
-  let absorb_for neighbours u x =
-    let rec collect acc = function
-      | [] -> Some acc
-      | t :: rest ->
-        if Bitset.mem u t then collect acc rest
-        else (
-          match part_of_task t with
-          | Some k -> collect (if List.mem k acc then acc else k :: acc) rest
-          | None -> None)
-    in
-    collect [] (neighbours g x)
-  in
+  (* Parts (indices, possibly repeated) that must be absorbed so that [x]
+     stops being an input of [u] — the parts of its predecessors outside
+     [u]; None when impossible (a task outside the composite feeds x). *)
+  let absorb = Option.map (List.map (fun i -> part_of.(i))) in
   let budget = ref budget in
   let rec solve included u =
-    match witnesses ctx u with
-    | [] -> Some included
-    | (x, y) :: _ ->
-      let fix_in = absorb_for Digraph.pred u x in
-      let fix_out = absorb_for Digraph.succ u y in
+    match frame_witness ctx fr u with
+    | None -> Some included
+    | Some (x, y) ->
+      let fix_in = absorb (Frame.preds_outside fr x u) in
+      let fix_out = absorb (Frame.succs_outside fr y u) in
       let apply ks =
         let included' = Array.copy included in
         List.iter (fun k -> included'.(k) <- true) ks;
@@ -204,19 +220,16 @@ let try_closure ctx ~budget parts part_of_task seed_i seed_j =
   included.(seed_j) <- true;
   solve included (union_of included)
 
-let find_combinable_parts ctx ~budget parts =
+let find_combinable_parts ctx fr ~budget parts =
   let p = Array.length parts in
-  let part_of = Hashtbl.create 64 in
-  Array.iteri
-    (fun k set -> Bitset.iter (fun t -> Hashtbl.replace part_of t k) set)
-    parts;
-  let part_of_task t = Hashtbl.find_opt part_of t in
+  let part_of = Array.make (Frame.size fr) 0 in
+  Array.iteri (fun k set -> Frame.iter (fun i -> part_of.(i) <- k) set) parts;
   let found = ref None in
   let i = ref 0 in
   while !found = None && !i < p do
     let j = ref (!i + 1) in
     while !found = None && !j < p do
-      (match try_closure ctx ~budget parts part_of_task !i !j with
+      (match try_closure ctx fr ~budget parts part_of !i !j with
        | Some included ->
          found :=
            Some
@@ -228,56 +241,55 @@ let find_combinable_parts ctx ~budget parts =
   done;
   !found
 
-let merge_parts parts indices =
+let merge_parts fr parts indices =
   let keep = Array.to_list parts in
-  let merged = Bitset.create (Bitset.capacity parts.(0)) in
-  List.iter (fun k -> Bitset.union_into ~into:merged parts.(k)) indices;
+  let merged = Frame.empty fr in
+  List.iter (fun k -> Frame.union_into ~into:merged parts.(k)) indices;
   let rest =
     List.filteri (fun k _ -> not (List.mem k indices)) keep
   in
   (* Reinsert ordered by smallest member. *)
   let all = merged :: rest in
-  let key set = match Bitset.choose set with Some t -> t | None -> max_int in
-  Array.of_list (List.sort (fun a b -> compare (key a) (key b)) all)
+  Array.of_list
+    (List.sort (fun a b -> compare (Frame.lowest a) (Frame.lowest b)) all)
 
 (* Exhaustive fallback: find any combinable subset of ≥ 2 parts by mask
-   enumeration. Exponential in the number of parts; only used under
-   [certify_limit]. *)
-let exhaustive_combinable ctx parts =
+   enumeration, in increasing mask order. Exponential in the number of
+   parts; only used under [certify_limit], which [check_config] keeps within
+   [Frame.max_parts]. Each mask is one part-level frame evaluation. *)
+let exhaustive_combinable ctx fr parts =
   let p = Array.length parts in
-  let result = ref None in
-  let mask = ref 3 in
+  let ps = Frame.parts fr parts in
   let limit = 1 lsl p in
-  while !result = None && !mask < limit do
-    let m = !mask in
-    let indices =
-      List.filter (fun k -> m land (1 lsl k) <> 0) (List.init p Fun.id)
-    in
-    if List.length indices >= 2 then begin
-      let u = Bitset.create ctx.n in
-      List.iter (fun k -> Bitset.union_into ~into:u parts.(k)) indices;
-      if sound ctx u then result := Some indices
-    end;
-    incr mask
-  done;
-  !result
+  let rec scan mask =
+    if mask >= limit then None
+    else if mask land (mask - 1) <> 0 && parts_sound ctx fr ps mask then
+      Some (List.filter (fun k -> mask land (1 lsl k) <> 0) (List.init p Fun.id))
+    else scan (mask + 1)
+  in
+  scan 3
 
 (* The strong loop starting from an arbitrary partition (normally the weak
    corrector's); factored out so the deadline chain can hand it the weak
    result it already holds and abandon it mid-flight via [ctx.stop]. *)
-let strong_refine ctx ~config parts0 =
+let strong_refine ctx fr ~config parts0 =
   let parts = ref parts0 in
   let continue_ = ref true in
   let certified = ref false in
   while !continue_ do
-    match find_combinable_parts ctx ~budget:config.branch_budget !parts with
-    | Some indices -> parts := merge_parts !parts indices
+    match find_combinable_parts ctx fr ~budget:config.branch_budget !parts with
+    | Some indices -> parts := merge_parts fr !parts indices
     | None ->
       (* The closure search is done; certify (and repair) exhaustively when
-         requested and small enough. *)
+         requested and small enough. A merge found here is one the closure
+         search missed: a repair. *)
       if config.certify && Array.length !parts <= config.certify_limit then begin
-        match exhaustive_combinable ctx !parts with
-        | Some indices -> parts := merge_parts !parts indices
+        match
+          Obs.time t_certify (fun () -> exhaustive_combinable ctx fr !parts)
+        with
+        | Some indices ->
+          Obs.incr m_certify_repairs;
+          parts := merge_parts fr !parts indices
         | None ->
           certified := true;
           continue_ := false
@@ -287,45 +299,20 @@ let strong_refine ctx ~config parts0 =
   Obs.incr (if !certified then m_certified else m_uncertified);
   (!parts, !certified)
 
-let strong_split ctx ~config members =
-  strong_refine ctx ~config (weak_split ctx members)
+let strong_split ctx fr ~config =
+  strong_refine ctx fr ~config (weak_split ctx fr)
 
 (* ------------------------------------------------------------------ *)
 (* Optimal split: exact minimum partition into sound parts, by dynamic  *)
 (* programming over subsets of the composite's members.                 *)
 (* ------------------------------------------------------------------ *)
 
-let optimal_split ctx members =
-  let mem = Array.of_list members in
-  let n = Array.length mem in
-  assert (n <= 62);
-  let index_of = Hashtbl.create n in
-  Array.iteri (fun i t -> Hashtbl.replace index_of t i) mem;
-  let g = Spec.graph ctx.spec in
-  let r = Spec.reach ctx.spec in
-  let reach_row = Array.make n 0 in
-  let preds_in = Array.make n 0 in
-  let succs_in = Array.make n 0 in
-  let ext_in = Array.make n false in
-  let ext_out = Array.make n false in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if Reach.reaches r mem.(i) mem.(j) then
-        reach_row.(i) <- reach_row.(i) lor (1 lsl j)
-    done;
-    List.iter
-      (fun p ->
-        match Hashtbl.find_opt index_of p with
-        | Some k -> preds_in.(i) <- preds_in.(i) lor (1 lsl k)
-        | None -> ext_in.(i) <- true)
-      (Digraph.pred g mem.(i));
-    List.iter
-      (fun s ->
-        match Hashtbl.find_opt index_of s with
-        | Some k -> succs_in.(i) <- succs_in.(i) lor (1 lsl k)
-        | None -> ext_out.(i) <- true)
-      (Digraph.succ g mem.(i))
-  done;
+(* [check_config] keeps [n] within [Frame.max_parts], so the frame has one
+   word per row: member [i]'s reach, predecessor and successor rows are the
+   words at index [i], and [1 lsl n] counts the masks. *)
+let optimal_split ctx fr =
+  let n = Frame.size fr in
+  let ext_in = fr.Frame.ext_in.(0) and ext_out = fr.Frame.ext_out.(0) in
   let size = 1 lsl n in
   let sound_mask = Bytes.make size '\000' in
   (* Bit-parallel subset-soundness evaluation of every mask. These are NOT
@@ -336,17 +323,18 @@ let optimal_split ctx members =
     Obs.incr m_dp_mask_evals;
     let ins = ref 0 and outs = ref 0 in
     for i = 0 to n - 1 do
-      if mask land (1 lsl i) <> 0 then begin
-        if ext_in.(i) || preds_in.(i) land lnot mask <> 0 then
-          ins := !ins lor (1 lsl i);
-        if ext_out.(i) || succs_in.(i) land lnot mask <> 0 then
-          outs := !outs lor (1 lsl i)
+      let bit = 1 lsl i in
+      if mask land bit <> 0 then begin
+        if ext_in land bit <> 0 || fr.Frame.pred.(i) land lnot mask <> 0 then
+          ins := !ins lor bit;
+        if ext_out land bit <> 0 || fr.Frame.succ.(i) land lnot mask <> 0 then
+          outs := !outs lor bit
       end
     done;
     let ok = ref true in
     for i = 0 to n - 1 do
-      if !ins land (1 lsl i) <> 0 && !outs land lnot reach_row.(i) <> 0 then
-        ok := false
+      if !ins land (1 lsl i) <> 0 && !outs land lnot fr.Frame.reach.(i) <> 0
+      then ok := false
     done;
     if !ok then Bytes.set sound_mask mask '\001'
   done;
@@ -378,7 +366,8 @@ let optimal_split ctx members =
       let s = choice.(mask) in
       let part =
         List.filter_map
-          (fun i -> if s land (1 lsl i) <> 0 then Some mem.(i) else None)
+          (fun i ->
+            if s land (1 lsl i) <> 0 then Some fr.Frame.tasks.(i) else None)
           (List.init n Fun.id)
       in
       rebuild (mask lxor s) (part :: acc)
@@ -402,8 +391,16 @@ let check_members spec members =
     sorted;
   sorted
 
-let parts_to_lists parts =
-  Array.to_list (Array.map Bitset.elements parts)
+let parts_to_lists fr parts = Array.to_list (Array.map (Frame.tasks fr) parts)
+
+(* The member frame of a composite to split, or None when the members are
+   already sound: a singleton needs no check, anything else one, on the
+   frame every later check of the split reuses. *)
+let frame_if_unsound ctx members =
+  if List.length members = 1 then None
+  else
+    let fr = Frame.make ctx.spec members in
+    if frame_sound ctx fr (Frame.full fr) then None else Some fr
 
 let outcome_of_ctx ctx ~parts ~certified_strong =
   { parts; checks = !(ctx.checks); probes = !(ctx.probes); certified_strong }
@@ -414,6 +411,7 @@ let criterion_name = function
   | Optimal -> "optimal"
 
 let split_subset ?(config = default_config) criterion spec members =
+  check_config config;
   Obs.time t_split
     ~args:(fun () ->
       [ ("criterion", criterion_name criterion);
@@ -421,18 +419,19 @@ let split_subset ?(config = default_config) criterion spec members =
   @@ fun () ->
   let members = check_members spec members in
   let ctx = make_ctx spec in
-  let member_set = Bitset.of_list ctx.n members in
-  if List.length members = 1 || sound ctx member_set then
+  match frame_if_unsound ctx members with
+  | None ->
     (* Already sound: nothing to split; trivially strongly optimal. *)
     outcome_of_ctx ctx ~parts:[ members ] ~certified_strong:true
-  else
+  | Some fr ->
     match criterion with
     | Weak ->
-      let parts = weak_split ctx members in
-      outcome_of_ctx ctx ~parts:(parts_to_lists parts) ~certified_strong:false
+      let parts = weak_split ctx fr in
+      outcome_of_ctx ctx ~parts:(parts_to_lists fr parts)
+        ~certified_strong:false
     | Strong ->
-      let parts, certified = strong_split ctx ~config members in
-      outcome_of_ctx ctx ~parts:(parts_to_lists parts)
+      let parts, certified = strong_split ctx fr ~config in
+      outcome_of_ctx ctx ~parts:(parts_to_lists fr parts)
         ~certified_strong:certified
     | Optimal ->
       if List.length members > config.optimal_max_tasks then
@@ -440,7 +439,7 @@ let split_subset ?(config = default_config) criterion spec members =
           (Printf.sprintf
              "Corrector: optimal split limited to %d tasks (got %d)"
              config.optimal_max_tasks (List.length members));
-      let parts = optimal_split ctx members in
+      let parts = optimal_split ctx fr in
       (* A minimum split is strongly local optimal: a combinable subset
          would contradict minimality. *)
       outcome_of_ctx ctx ~parts ~certified_strong:true
@@ -452,14 +451,15 @@ let split_subset ?(config = default_config) criterion spec members =
 (* The branch-and-bound core: improve on [incumbent] within [node_budget]
    nodes, additionally cut by the external [stop] hook (polled per node, so
    a raised deadline never escapes as an exception — the incumbent is always
-   returned). Returns the best partition found (as sorted lists) and whether
-   the search ran to completion (proving minimality). *)
+   returned). [incumbent] and the result are partitions as lists of
+   increasing tasks, the result sorted by smallest member; the bool says
+   whether the search ran to completion (proving minimality). *)
 let bb_search ctx ~node_budget ~stop members incumbent =
   let spec = ctx.spec in
   let member_set = Bitset.of_list ctx.n members in
   begin
-    let best = ref (Array.map Bitset.copy incumbent) in
-    let best_count = ref (Array.length incumbent) in
+    let best = ref incumbent in
+    let best_count = ref (List.length incumbent) in
     let g = Spec.graph spec in
     let r = Spec.reach spec in
     (* Assignment order: members sorted topologically, so that when a task
@@ -524,7 +524,8 @@ let bb_search ctx ~node_budget ~stop members incumbent =
               (Array.sub parts 0 used)
           in
           if all_sound then begin
-            best := Array.map Bitset.copy (Array.sub parts 0 used);
+            best :=
+              Array.to_list (Array.map Bitset.elements (Array.sub parts 0 used));
             best_count := used
           end
         end
@@ -551,29 +552,28 @@ let bb_search ctx ~node_budget ~stop members incumbent =
     Obs.add m_anytime_nodes !nodes;
     Obs.incr (if !complete then m_anytime_proven else m_anytime_cut);
     let parts_lists =
-      Array.to_list (Array.map Bitset.elements !best)
-      |> List.sort (fun a b -> compare (List.hd a) (List.hd b))
+      List.sort (fun a b -> compare (List.hd a) (List.hd b)) !best
     in
     (parts_lists, !complete)
   end
 
 let split_subset_anytime ?(config = default_config) ?(node_budget = 2_000_000)
     spec members =
+  check_config config;
   let members = check_members spec members in
   let ctx = make_ctx spec in
-  let member_set = Bitset.of_list ctx.n members in
-  if List.length members = 1 || sound ctx member_set then
-    (outcome_of_ctx ctx ~parts:[ members ] ~certified_strong:true, true)
-  else begin
+  match frame_if_unsound ctx members with
+  | None -> (outcome_of_ctx ctx ~parts:[ members ] ~certified_strong:true, true)
+  | Some fr ->
     (* Incumbent: the strong corrector's split. *)
-    let incumbent, _ = strong_split ctx ~config members in
+    let incumbent, _ = strong_split ctx fr ~config in
     let parts_lists, complete =
-      bb_search ctx ~node_budget ~stop:no_stop members incumbent
+      bb_search ctx ~node_budget ~stop:no_stop members
+        (parts_to_lists fr incumbent)
     in
     (* A proven minimum is strongly local optimal (a combinable subset would
        contradict minimality); a budget-cut result is not certified. *)
     (outcome_of_ctx ctx ~parts:parts_lists ~certified_strong:complete, complete)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Deadline-degrading correction: optimal when time allows, falling     *)
@@ -606,6 +606,7 @@ let with_deadline ?(config = default_config) ?(node_budget = 2_000_000)
     members =
   if spent_s < 0.0 then
     invalid_arg "Corrector.with_deadline: spent_s must be non-negative";
+  check_config config;
   Obs.time t_deadline
     ~args:(fun () ->
       [ ("deadline_s", Printf.sprintf "%g" deadline_s);
@@ -631,7 +632,6 @@ let with_deadline ?(config = default_config) ?(node_budget = 2_000_000)
          (float_of_int !(ctx.checks) *. check_cost_s)
   in
   let expired () = consumed () >= deadline_s in
-  let member_set = Bitset.of_list ctx.n members in
   let finish tier ~parts ~certified ~abandoned ~proven =
     Obs.incr
       (match tier with
@@ -648,20 +648,21 @@ let with_deadline ?(config = default_config) ?(node_budget = 2_000_000)
       abandoned;
       proven_optimal = proven }
   in
-  if List.length members = 1 || sound ctx member_set then
+  match frame_if_unsound ctx members with
+  | None ->
     (* Already sound: the trivial split is minimal, whatever the budget. *)
     finish Optimal ~parts:[ members ] ~certified:true ~abandoned:None
       ~proven:true
-  else begin
+  | Some fr ->
     (* Tier 1 — weak floor. Runs to completion regardless of the deadline:
        there is no cheaper sound answer to degrade to, and it is the
        incumbent everything later improves on. *)
     let weak_parts =
-      Obs.with_span "corrector.tier.weak" (fun () -> weak_split ctx members)
+      Obs.with_span "corrector.tier.weak" (fun () -> weak_split ctx fr)
     in
     let weak_fallback () =
       finish Weak
-        ~parts:(parts_to_lists weak_parts)
+        ~parts:(parts_to_lists fr weak_parts)
         ~certified:false ~abandoned:(Some Strong) ~proven:false
     in
     if expired () then weak_fallback ()
@@ -671,13 +672,13 @@ let with_deadline ?(config = default_config) ?(node_budget = 2_000_000)
          counter refs, so abandoned work still shows up in the outcome. *)
       match
         Obs.with_span "corrector.tier.strong" (fun () ->
-            strong_refine { ctx with stop = expired } ~config weak_parts)
+            strong_refine { ctx with stop = expired } fr ~config weak_parts)
       with
       | exception Expired -> weak_fallback ()
       | strong_parts, certified ->
+        let strong_parts = parts_to_lists fr strong_parts in
         if expired () then
-          finish Strong
-            ~parts:(parts_to_lists strong_parts)
+          finish Strong ~parts:strong_parts
             ~certified ~abandoned:(Some Optimal) ~proven:false
         else begin
           (* Tier 3 — exact branch-and-bound, cut per node by the deadline.
@@ -696,7 +697,6 @@ let with_deadline ?(config = default_config) ?(node_budget = 2_000_000)
               ~abandoned:(Some Optimal) ~proven:false
         end
     end
-  end
 
 let unique_name taken base =
   if not (Hashtbl.mem taken base) then base
@@ -748,6 +748,7 @@ let split_composite ?(config = default_config) criterion view c =
   (rebuild_view view [ (c, outcome.parts) ], outcome)
 
 let correct ?(config = default_config) ?domains criterion view =
+  check_config config;
   let domains =
     match domains with Some d -> d | None -> Par.default_domains ()
   in
@@ -787,6 +788,7 @@ let correct_with_deadline ?(config = default_config) ?(node_budget = 2_000_000)
     ?(check_cost_s = default_check_cost_s) ?(spent_s = 0.) ~deadline_s view =
   if spent_s < 0.0 then
     invalid_arg "Corrector.correct_with_deadline: spent_s must be non-negative";
+  check_config config;
   Obs.with_span "corrector.correct"
     ~args:(fun () ->
       [ ("workflow", Spec.name (View.spec view));
@@ -918,6 +920,7 @@ let pp_decision ppf d =
     Format.fprintf ppf "merged %d composites into %S" absorbed d.composite
 
 let resolve_auto ?(config = default_config) view =
+  check_config config;
   let rec go view decisions =
     match (Soundness.validate view).Soundness.unsound with
     | [] -> (view, List.rev decisions)
@@ -974,6 +977,12 @@ module Oracle = struct
     !ok
 
   let strongly_local_optimal ?(max_parts = 20) spec parts =
+    if max_parts > Frame.max_parts then
+      invalid_arg
+        (Printf.sprintf
+           "Corrector.Oracle.strongly_local_optimal: max_parts = %d exceeds \
+            %d (its 2^%d masks must fit a non-negative int)"
+           max_parts Frame.max_parts max_parts);
     let arr = Array.of_list parts in
     let p = Array.length arr in
     if p > max_parts then None

@@ -15,7 +15,13 @@
     All splits are partitions of the composite's members; every part is sound
     by construction. Soundness of a part is evaluated against the whole
     workflow (tasks outside the part — whether in sibling parts, other
-    composites, or elsewhere — are "outside" per Def 2.2). *)
+    composites, or elsewhere — are "outside" per Def 2.2).
+
+    Each split builds one {!Soundness.Frame} over the composite's members
+    and decides every subset of them on it, with word operations and no
+    allocation; the exhaustive certification pass decides its masks with
+    the frame's part-level kernel. Only the anytime branch-and-bound's
+    final checks go through {!Soundness.subset_sound}. *)
 
 open Wolves_workflow
 
@@ -35,22 +41,28 @@ type outcome = {
       (** The resulting partition; parts ordered by smallest member, members
           increasing. A sound input composite yields a single part. *)
   checks : int;
-      (** Full subset-soundness evaluations performed — actual
-          {!Soundness.subset_sound} / {!Soundness.subset_witnesses} calls,
-          the unit of the paper's complexity claims and the dominant cost.
-          Cheaper auxiliary evaluations are counted under {!field-probes}
-          and never inflate this number. *)
+      (** Subset-soundness evaluations (Def 2.3) performed, counted once
+          each however they are decided — on the split's
+          {!Soundness.Frame} or by {!Soundness.subset_sound} /
+          {!Soundness.subset_witnesses}: the unit of the paper's complexity
+          claims and the dominant cost. Cheaper auxiliary evaluations are
+          counted under {!field-probes} and never inflate this number. *)
   probes : int;
       (** Auxiliary soundness evaluations that are {e not} full
-          [Soundness] calls: the anytime branch-and-bound's partial pruning
-          probes and the optimal DP's bit-parallel mask evaluations. *)
+          subset-soundness checks: the anytime branch-and-bound's partial
+          pruning probes and the optimal DP's bit-parallel mask
+          evaluations. *)
   certified_strong : bool;
       (** [true] when an exhaustive pass proved the result strongly local
           optimal (always attempted for [Strong] and [Optimal] results with
           at most [certify_limit] parts). *)
 }
 
-(** Tuning knobs; {!default_config} suits tests and benches. *)
+(** Tuning knobs; {!default_config} suits tests and benches. The two limits
+    that bound a mask enumeration must be at most
+    {!Soundness.Frame.max_parts} (61), so that the 2^limit masks fit a
+    non-negative int; every function taking a config raises
+    [Invalid_argument] naming the field otherwise. *)
 type config = {
   branch_budget : int;
       (** Extra branch points the strong closure search may explore per seed
@@ -64,10 +76,14 @@ type config = {
           enumeration. *)
   certify_limit : int;
       (** Exhaustive strong-optimality verification runs when the split has
-          at most this many parts. Default 18. *)
+          at most this many parts. Default 18; at most 61. The pass costs
+          O(2^p · (p + |in|) · ⌈m/63⌉) word operations for p parts of an
+          m-member composite; its time is the [corrector.certify] timer
+          and the merges it finds that the closure search missed are
+          counted by [corrector.certify.repairs]. *)
   optimal_max_tasks : int;
       (** [Optimal] refuses composites larger than this (the DP is
-          exponential). Default 18. *)
+          exponential). Default 18; at most 61. *)
 }
 
 val default_config : config
@@ -76,7 +92,8 @@ val split_subset :
   ?config:config -> criterion -> Spec.t -> Spec.task list -> outcome
 (** Split an arbitrary task subset (typically the members of one composite).
     @raise Invalid_argument when the subset is empty, contains duplicates, or
-    ([Optimal]) exceeds [optimal_max_tasks]. *)
+    ([Optimal]) exceeds [optimal_max_tasks], or when a config limit is
+    past the mask width. *)
 
 val split_subset_anytime :
   ?config:config ->
@@ -236,5 +253,7 @@ module Oracle : sig
   val strongly_local_optimal :
     ?max_parts:int -> Spec.t -> Spec.task list list -> bool option
   (** Def 2.6: no subset of ≥ 2 parts combinable. Enumerates the 2^p subsets;
-      [None] when [p > max_parts] (default 20). *)
+      [None] when [p > max_parts] (default 20).
+      @raise Invalid_argument when [max_parts] exceeds
+      {!Soundness.Frame.max_parts}. *)
 end

@@ -49,6 +49,246 @@ let subset_witnesses spec set =
         outputs)
     inputs
 
+module Frame = struct
+  let bits = Bitset.bits_per_word
+
+  type t = {
+    tasks : Spec.task array;
+    words : int;
+    reach : int array;
+    pred : int array;
+    succ : int array;
+    ext_in : int array;
+    ext_out : int array;
+    ins : int array;
+    outs : int array;
+  }
+
+  type set = int array
+
+  let max_parts = Sys.int_size - 2
+
+  let set_bit row off i =
+    let w = off + (i / bits) in
+    row.(w) <- row.(w) lor (1 lsl (i mod bits))
+
+  (* Position of task [t] in the increasing [tasks], or -1. *)
+  let index tasks t =
+    let rec go lo hi =
+      if lo >= hi then -1
+      else
+        let mid = (lo + hi) lsr 1 in
+        let x = tasks.(mid) in
+        if x = t then mid else if x < t then go (mid + 1) hi else go lo mid
+    in
+    go 0 (Array.length tasks)
+
+  let make spec members =
+    let tasks = Array.of_list members in
+    let n = Spec.n_tasks spec in
+    Array.iteri
+      (fun i t ->
+        if t < 0 || t >= n || (i > 0 && tasks.(i - 1) >= t) then
+          invalid_arg
+            "Soundness.Frame.make: members must be increasing tasks of the spec")
+      tasks;
+    let m = Array.length tasks in
+    let words = (m + bits - 1) / bits in
+    let g = Spec.graph spec in
+    let pred = Array.make (m * words) 0 and succ = Array.make (m * words) 0 in
+    let ext_in = Array.make words 0 and ext_out = Array.make words 0 in
+    Array.iteri
+      (fun i t ->
+        let side rows ext v =
+          let j = index tasks v in
+          if j < 0 then set_bit ext 0 i else set_bit rows (i * words) j
+        in
+        Digraph.iter_pred (side pred ext_in) g t;
+        Digraph.iter_succ (side succ ext_out) g t)
+      tasks;
+    { tasks; words; reach = Reach.restrict (Spec.reach spec) tasks; pred;
+      succ; ext_in; ext_out; ins = Array.make words 0;
+      outs = Array.make words 0 }
+
+  let size fr = Array.length fr.tasks
+
+  let empty fr = Array.make fr.words 0
+
+  let singleton fr i =
+    let s = empty fr in
+    set_bit s 0 i;
+    s
+
+  let full fr =
+    let s = empty fr in
+    for i = 0 to size fr - 1 do
+      set_bit s 0 i
+    done;
+    s
+
+  let union_into ~into s =
+    for k = 0 to Array.length into - 1 do
+      into.(k) <- into.(k) lor s.(k)
+    done
+
+  let lowest s =
+    let rec go k =
+      if k >= Array.length s then max_int
+      else if s.(k) <> 0 then (k * bits) + Bitset.lowest_bit s.(k)
+      else go (k + 1)
+    in
+    go 0
+
+  (* Members of [s] in increasing order. *)
+  let fold f s init =
+    let acc = ref init in
+    for k = 0 to Array.length s - 1 do
+      let word = ref s.(k) in
+      while !word <> 0 do
+        acc := f ((k * bits) + Bitset.lowest_bit !word) !acc;
+        word := !word land (!word - 1)
+      done
+    done;
+    !acc
+
+  let iter f s = fold (fun i () -> f i) s ()
+
+  let tasks fr s = List.rev (fold (fun i acc -> fr.tasks.(i) :: acc) s [])
+
+  let has ext i = ext.(i / bits) land (1 lsl (i mod bits)) <> 0
+
+  (* Does member [i] have a neighbour in [rows] (its predecessors or its
+     successors) outside [u]: one outside the frame ([ext]), or a member
+     missing from [u]? *)
+  let crosses fr ext rows u i =
+    has ext i
+    ||
+    let off = i * fr.words in
+    let rec go k =
+      k < fr.words && (rows.(off + k) land lnot u.(k) <> 0 || go (k + 1))
+    in
+    go 0
+
+  (* Does member [i] reach every member of the [outs] row? *)
+  let reaches_outs fr i =
+    let off = i * fr.words in
+    let rec go k =
+      k >= fr.words
+      || (fr.outs.(k) land lnot fr.reach.(off + k) = 0 && go (k + 1))
+    in
+    go 0
+
+  (* The first member of the [ins] row (in member order) that misses some
+     member of the [outs] row, or -1: the heart of Def 2.3. *)
+  let first_bad_input fr =
+    let found = ref (-1) and k = ref 0 in
+    while !found < 0 && !k < fr.words do
+      let word = ref fr.ins.(!k) in
+      while !found < 0 && !word <> 0 do
+        let i = (!k * bits) + Bitset.lowest_bit !word in
+        if not (reaches_outs fr i) then found := i;
+        word := !word land (!word - 1)
+      done;
+      incr k
+    done;
+    !found
+
+  (* Fill the scratch rows with in(u) and out(u), member by member. *)
+  let load_io fr u =
+    for k = 0 to fr.words - 1 do
+      let ins = ref 0 and outs = ref 0 and word = ref u.(k) in
+      while !word <> 0 do
+        let low = !word land (- !word) in
+        let i = (k * bits) + Bitset.lowest_bit low in
+        if crosses fr fr.ext_in fr.pred u i then ins := !ins lor low;
+        if crosses fr fr.ext_out fr.succ u i then outs := !outs lor low;
+        word := !word lxor low
+      done;
+      fr.ins.(k) <- !ins;
+      fr.outs.(k) <- !outs
+    done
+
+  let sound fr u =
+    Obs.incr m_subset_checks;
+    load_io fr u;
+    first_bad_input fr < 0
+
+  let first_witness fr u =
+    Obs.incr m_witness_scans;
+    load_io fr u;
+    let x = first_bad_input fr in
+    if x < 0 then None
+    else begin
+      let off = x * fr.words in
+      let rec missed k =
+        let miss = fr.outs.(k) land lnot fr.reach.(off + k) in
+        if miss <> 0 then (k * bits) + Bitset.lowest_bit miss
+        else missed (k + 1)
+      in
+      Some (x, missed 0)
+    end
+
+  let outside fr ext rows x u =
+    if has ext x then None
+    else
+      let off = x * fr.words in
+      let missing = Array.init fr.words (fun k -> rows.(off + k) land lnot u.(k)) in
+      Some (List.rev (fold List.cons missing []))
+
+  let preds_outside fr x u = outside fr fr.ext_in fr.pred x u
+  let succs_outside fr y u = outside fr fr.ext_out fr.succ y u
+
+  type parts = {
+    count : int;
+    members : int array;
+    succs : int array;
+    preds : int array;
+  }
+
+  let parts fr sets =
+    let count = Array.length sets in
+    if count > max_parts then
+      invalid_arg
+        (Printf.sprintf "Soundness.Frame.parts: %d parts, at most %d" count
+           max_parts);
+    let w = fr.words in
+    let members = Array.make (count * w) 0 in
+    let succs = Array.make (count * w) 0 and preds = Array.make (count * w) 0 in
+    Array.iteri
+      (fun q set ->
+        Array.blit set 0 members (q * w) w;
+        fold
+          (fun i () ->
+            for k = 0 to w - 1 do
+              let r = (q * w) + k and row = (i * w) + k in
+              succs.(r) <- succs.(r) lor fr.succ.(row);
+              preds.(r) <- preds.(r) lor fr.pred.(row)
+            done)
+          set ())
+      sets;
+    { count; members; succs; preds }
+
+  (* in(U) = U ∩ (ext_in ∪ succ(M∖U)) and out(U) = U ∩ (ext_out ∪ pred(M∖U)),
+     M∖U being the union of the parts the mask leaves out. *)
+  let parts_sound fr ps mask =
+    Obs.incr m_subset_checks;
+    let w = fr.words in
+    for k = 0 to w - 1 do
+      let u = ref 0 and s = ref 0 and p = ref 0 in
+      for q = 0 to ps.count - 1 do
+        let r = (q * w) + k in
+        if mask land (1 lsl q) <> 0 then u := !u lor ps.members.(r)
+        else begin
+          s := !s lor ps.succs.(r);
+          p := !p lor ps.preds.(r)
+        end
+      done;
+      fr.ins.(k) <- !u land (fr.ext_in.(k) lor !s);
+      fr.outs.(k) <- !u land (fr.ext_out.(k) lor !p)
+    done;
+    first_bad_input fr < 0
+end
+
 type unsoundness_kind =
   | Parallel_lanes of int
   | Entangled

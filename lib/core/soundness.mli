@@ -34,6 +34,110 @@ val subset_witnesses :
 (** The violating pairs: [(ti, to)] with [ti ∈ in], [to ∈ out] and no path
     [ti ⇝ to]. Empty iff the subset is sound. *)
 
+(** {1 Member frames}
+
+    A member frame decides Def 2.3 for many subsets of one task set M
+    (typically a composite's members) with word operations. It renumbers the
+    m members [0 .. m-1] in task order and keeps, packed in rows of
+    [words = ⌈m/63⌉] words (the {!Wolves_graph.Bitset.gather_into} layout),
+    the closure restricted to M, each member's predecessors and successors
+    inside M, and the members with an edge from or to outside M. For U ⊆ M,
+    in(U) = U ∩ (ext_in ∪ succ(M∖U)) and out(U) = U ∩ (ext_out ∪ pred(M∖U)),
+    and U is sound iff every input's reach row covers out(U): O(|U|·words)
+    word operations per check, with no allocation.
+
+    Use a frame when one member set is checked many times: the correctors'
+    splits make up to hundreds of thousands of checks on subsets of one
+    composite. Building it costs O(m²) word probes (one gather per member
+    row) plus O(deg·log m) per member, so for a few checks {!subset_sound}
+    is cheaper: {!validate}, {!minimal_unsound_core} (which converges in a
+    few checks), the lint rules and the corrector oracles stay on it, and it
+    stays the reference the frame is tested against.
+
+    Every evaluation counts exactly as the call it replaces:
+    {!Frame.sound} and {!Frame.parts_sound} as one {!subset_sound},
+    {!Frame.first_witness} as one {!subset_witnesses}. A frame owns two
+    scratch rows, so it belongs to one call on one domain. *)
+module Frame : sig
+  type t = private {
+    tasks : Spec.task array;  (** member [i] is [tasks.(i)]; increasing *)
+    words : int;  (** words per row and per frame set *)
+    reach : int array;
+        (** row [i] (words [i·words ..]): the members member [i] reaches,
+            itself included *)
+    pred : int array;  (** row [i]: member [i]'s predecessors in M *)
+    succ : int array;  (** row [i]: member [i]'s successors in M *)
+    ext_in : int array;  (** one row: members with a predecessor outside M *)
+    ext_out : int array;  (** one row: members with a successor outside M *)
+    ins : int array;  (** scratch row of the checks; meaningless between them *)
+    outs : int array;  (** scratch row of the checks *)
+  }
+
+  type set = int array
+  (** A subset of the members, as one row of [words] words. *)
+
+  val max_parts : int
+  (** The widest mask an int holds with room to count it: [Sys.int_size - 2]
+      (61), so [1 lsl max_parts] is still a non-negative int. *)
+
+  val make : Spec.t -> Spec.task list -> t
+  (** [make spec members], members increasing. One {!Wolves_graph.Reach.restrict}
+      of the spec's closure plus one pass over the members' edges.
+      @raise Invalid_argument when the members are not increasing tasks of
+      the spec. *)
+
+  val size : t -> int
+  (** m, the number of members. *)
+
+  val empty : t -> set
+
+  val singleton : t -> int -> set
+
+  val full : t -> set
+  (** All of M. *)
+
+  val union_into : into:set -> set -> unit
+
+  val lowest : set -> int
+  (** The smallest member, [max_int] for the empty set. *)
+
+  val iter : (int -> unit) -> set -> unit
+  (** Visit the set's members, increasing. *)
+
+  val tasks : t -> set -> Spec.task list
+  (** The set's tasks, increasing. *)
+
+  val sound : t -> set -> bool
+  (** {!subset_sound} of the set's tasks. *)
+
+  val first_witness : t -> set -> (int * int) option
+  (** The head of {!subset_witnesses} of the set's tasks, as members: the
+      first input (in task order) missing some output, and the first output
+      it misses. [None] iff the set is sound; only that answer is
+      allocation-free. *)
+
+  val preds_outside : t -> int -> set -> int list option
+  (** [preds_outside fr x u]: [None] when member [x] has a predecessor
+      outside M, else its predecessors in M∖u, increasing. *)
+
+  val succs_outside : t -> int -> set -> int list option
+  (** The same for successors. *)
+
+  type parts
+  (** A partition of M into at most {!max_parts} parts, with each part's
+      members and the union of their successor and predecessor rows. *)
+
+  val parts : t -> set array -> parts
+  (** The sets must partition M. O(m·words).
+      @raise Invalid_argument beyond {!max_parts} parts. *)
+
+  val parts_sound : t -> parts -> int -> bool
+  (** [parts_sound fr ps mask]: is the union of the parts whose bits are set
+      in [mask] sound? ORs the chosen parts into U and the others' successor
+      and predecessor rows into succ(M∖U) and pred(M∖U): O(parts·words)
+      plus O(|in(U)|·words) for the reach test. *)
+end
+
 (** Structural class of an unsound composite — what kind of mistake the
     designer made. *)
 type unsoundness_kind =

@@ -240,6 +240,19 @@ let elements s =
   done;
   !acc
 
+let lowest_bit w = ntz_pow2 (w land -w)
+
+let gather_into s positions ~into ~off =
+  for k = 0 to Array.length positions - 1 do
+    let i = positions.(k) in
+    if i < 0 || i >= s.capacity then check s i "gather_into";
+    if s.words.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
+    then begin
+      let w = off + (k / bits_per_word) in
+      into.(w) <- into.(w) lor (1 lsl (k mod bits_per_word))
+    end
+  done
+
 let of_list capacity elts =
   let s = create capacity in
   List.iter (add s) elts;

@@ -91,5 +91,24 @@ val of_list : int -> int list -> t
 val choose : t -> int option
 (** Smallest member, if any. *)
 
+(** {2 Packed words}
+
+    Kernels that keep their own bit matrices (the member frames of
+    [Wolves_core.Soundness]) use the layout of a set's words: element [i]
+    is bit [i mod bits_per_word] of word [i / bits_per_word]. *)
+
+val bits_per_word : int
+(** 63: the bits of an OCaml int below the sign, all usable as members. *)
+
+val lowest_bit : int -> int
+(** Index of the lowest set bit of a nonzero word. *)
+
+val gather_into : t -> int array -> into:int array -> off:int -> unit
+(** [gather_into s positions ~into ~off] sets bit [k] of the packed word
+    vector that starts at word [off] of [into] when [positions.(k)] is in
+    [s], for every [k]; other bits are left alone. One word probe per
+    position, no allocation. @raise Invalid_argument when a position is
+    out of range or [into] is too short. *)
+
 val pp : Format.formatter -> t -> unit
 (** Renders as [{0, 3, 7}]. *)

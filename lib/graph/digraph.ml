@@ -74,6 +74,14 @@ let pred g v =
   check g v "pred";
   List.rev g.pred.(v)
 
+let iter_succ f g u =
+  check g u "iter_succ";
+  List.iter f g.succ.(u)
+
+let iter_pred f g v =
+  check g v "iter_pred";
+  List.iter f g.pred.(v)
+
 let out_degree g u =
   check g u "out_degree";
   List.length g.succ.(u)

@@ -38,6 +38,13 @@ val succ : t -> int -> int list
 val pred : t -> int -> int list
 (** Predecessors of a node, in insertion order. *)
 
+val iter_succ : (int -> unit) -> t -> int -> unit
+(** Visit the successors of a node, most recently added first, without
+    building a list (unlike {!succ}). *)
+
+val iter_pred : (int -> unit) -> t -> int -> unit
+(** Visit the predecessors of a node, most recently added first. *)
+
 val out_degree : t -> int -> int
 
 val in_degree : t -> int -> int

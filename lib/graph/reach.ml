@@ -130,6 +130,17 @@ let union_descendants_into r ~into v =
   check r v;
   Bitset.union_into ~into r.rows.(v)
 
+let restrict r nodes =
+  let k = Array.length nodes in
+  let w = (k + Bitset.bits_per_word - 1) / Bitset.bits_per_word in
+  let rows = Array.make (k * w) 0 in
+  Array.iteri
+    (fun i v ->
+      check r v;
+      Bitset.gather_into r.rows.(v) nodes ~into:rows ~off:(i * w))
+    nodes;
+  rows
+
 let ancestors r v =
   check r v;
   Bitset.copy r.trans.(v)

@@ -57,6 +57,14 @@ val union_descendants_into : t -> into:Bitset.t -> int -> unit
     (including [v]) to [into] without materialising an intermediate copy —
     the allocation-free accessor for hot accumulation loops. *)
 
+val restrict : t -> int array -> int array
+(** [restrict r nodes] is the closure among [nodes], renumbered by
+    position, as a packed bit matrix (the {!Bitset.gather_into} layout):
+    row [i] is the [w = ⌈k / 63⌉] words from word [i·w], and bit [j] of it
+    is set iff [reaches r nodes.(i) nodes.(j)], where [k] is the number of
+    nodes. One gather per row, straight from the descendant row's words:
+    k² word probes in all. *)
+
 val ancestors : t -> int -> Bitset.t
 (** The set of nodes reaching a node (fresh set, caller-owned). Reflexive
     like {!descendants}: [ancestors r v] always contains [v] itself.

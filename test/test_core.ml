@@ -714,6 +714,294 @@ let prop_subset_io_matches_definition =
         members
       && List.for_all (fun t -> List.mem t io.S.outputs = expect_out t) members)
 
+(* ------------------------------------------------------------------ *)
+(* Mask-width limits                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Limits whose 2^limit masks do not fit a non-negative 63-bit int used to
+   overflow the mask loops ([1 lsl 63 = 0], [1 lsl 64 = 1]): they checked
+   no mask and still certified. Montage-64's natural view splits its
+   mDiffFit stage into 63 parts and its mProject stage into 64. *)
+let montage64 () =
+  let module T = Wolves_workload.Templates in
+  T.natural_view T.Montage (T.generate T.Montage ~scale:64)
+
+let refused_naming field f =
+  match f () with
+  | _ -> false
+  | exception Invalid_argument msg ->
+    let k = String.length field in
+    let rec has i =
+      i + k <= String.length msg && (String.sub msg i k = field || has (i + 1))
+    in
+    has 0
+
+let test_certify_limit_overflow () =
+  let view = montage64 () in
+  check_bool "certify_limit = 64 refused" true
+    (refused_naming "certify_limit" (fun () ->
+         C.correct ~config:{ C.default_config with C.certify_limit = 64 }
+           C.Strong view));
+  (* The widest limit is accepted; splits wider than it stay uncertified. *)
+  let _, outcomes =
+    C.correct
+      ~config:{ C.default_config with C.certify_limit = S.Frame.max_parts }
+      C.Strong view
+  in
+  let wide =
+    List.filter (fun (_, o) -> List.length o.C.parts > S.Frame.max_parts) outcomes
+  in
+  check_int "63- and 64-part splits" 2 (List.length wide);
+  check_bool "neither is certified" true
+    (List.for_all (fun (_, o) -> not o.C.certified_strong) wide)
+
+let test_oracle_max_parts_overflow () =
+  let view = montage64 () in
+  let spec = View.spec view in
+  let _, outcomes = C.correct C.Strong view in
+  let parts63 =
+    (snd (List.find (fun (_, o) -> List.length o.C.parts = 63) outcomes)).C.parts
+  in
+  check_bool "max_parts = 64 refused" true
+    (refused_naming "max_parts" (fun () ->
+         C.Oracle.strongly_local_optimal ~max_parts:64 spec parts63));
+  check_bool "the 63-part split is past any accepted max_parts" true
+    (C.Oracle.strongly_local_optimal ~max_parts:S.Frame.max_parts spec parts63
+     = None)
+
+let test_optimal_max_tasks_overflow () =
+  let view = montage64 () in
+  let spec = View.spec view in
+  let members =
+    List.find
+      (fun ms -> List.length ms = 63)
+      (List.map (View.members view) (View.composites view))
+  in
+  check_bool "optimal_max_tasks = 70 refused" true
+    (refused_naming "optimal_max_tasks" (fun () ->
+         C.split_subset
+           ~config:{ C.default_config with C.optimal_max_tasks = 70 }
+           C.Optimal spec members))
+
+(* ------------------------------------------------------------------ *)
+(* Member frames against the reference Def 2.3 check                   *)
+(* ------------------------------------------------------------------ *)
+
+module F = S.Frame
+
+(* A generated workflow of 64-220 tasks and a random member set of it: one
+   word (2-62 members) or several (63-160), with outside neighbours
+   whenever the members are not the whole workflow. *)
+let gen_frame_case =
+  QCheck2.Gen.(
+    quad (int_range 0 100_000) (oneofl Gen.all_families) (int_range 64 220)
+      (oneof [ int_range 2 62; int_range 63 160 ]))
+
+let frame_set fr idxs =
+  let u = F.empty fr in
+  List.iter (fun i -> F.union_into ~into:u (F.singleton fr i)) idxs;
+  u
+
+let prop_frame_matches_reference =
+  QCheck2.Test.make
+    ~name:"frame soundness and first witness = subset_sound / subset_witnesses"
+    ~count:200
+    ~print:(fun (seed, family, size, k) ->
+      Printf.sprintf "seed %d, %s, %d tasks, %d members" seed
+        (Gen.family_name family) size k)
+    gen_frame_case
+    (fun (seed, family, size, k) ->
+      let spec = Gen.generate family ~seed ~size in
+      let n = Spec.n_tasks spec in
+      let rng = Wolves_workload.Prng.create seed in
+      let members =
+        List.sort compare
+          (List.filteri (fun i _ -> i < k)
+             (Wolves_workload.Prng.shuffle rng (Spec.tasks spec)))
+      in
+      let fr = F.make spec members in
+      let m = F.size fr in
+      let index = Hashtbl.create m in
+      List.iteri (fun i t -> Hashtbl.replace index t i) members;
+      let tasks_of u = Bitset.of_list n (F.tasks fr u) in
+      let agrees u =
+        let set = tasks_of u in
+        let witness =
+          Option.map
+            (fun (x, y) -> (fr.F.tasks.(x), fr.F.tasks.(y)))
+            (F.first_witness fr u)
+        in
+        F.sound fr u = S.subset_sound spec set
+        && witness
+           = (match S.subset_witnesses spec set with
+              | [] -> None
+              | w :: _ -> Some w)
+      in
+      let random_subset density =
+        frame_set fr
+          (List.filter
+             (fun _ -> Wolves_workload.Prng.int rng 100 < density)
+             (List.init m Fun.id))
+      in
+      (* Sound sets too: the weak split's parts, and the union of two of
+         them (unsound, by weak optimality). *)
+      let weak =
+        List.map
+          (fun part -> frame_set fr (List.map (Hashtbl.find index) part))
+          (C.split_subset C.Weak spec members).C.parts
+      in
+      let pairs =
+        match weak with
+        | a :: b :: _ ->
+          let u = Array.copy a in
+          F.union_into ~into:u b;
+          [ u ]
+        | _ -> []
+      in
+      (* [preds_outside]/[succs_outside] against the neighbour lists. *)
+      let outside_agrees u x =
+        let expect neighbours =
+          if List.exists (fun t -> not (Hashtbl.mem index t)) neighbours then
+            None
+          else
+            Some
+              (List.filter
+                 (fun i -> not (List.mem fr.F.tasks.(i) (F.tasks fr u)))
+                 (List.sort_uniq compare (List.map (Hashtbl.find index) neighbours)))
+        in
+        F.preds_outside fr x u = expect (Spec.producers spec fr.F.tasks.(x))
+        && F.succs_outside fr x u = expect (Spec.consumers spec fr.F.tasks.(x))
+      in
+      let subsets =
+        [ F.full fr; F.singleton fr 0 ]
+        @ List.init 20 (fun i -> random_subset (5 + (i * 5)))
+        @ weak @ pairs
+      in
+      (* The part-level kernel on a random partition into 2-10 parts. *)
+      let p = 2 + Wolves_workload.Prng.int rng 9 in
+      let sets = Array.init p (fun _ -> F.empty fr) in
+      for i = 0 to m - 1 do
+        F.union_into ~into:sets.(Wolves_workload.Prng.int rng p) (F.singleton fr i)
+      done;
+      let ps = F.parts fr sets in
+      let parts_agree mask =
+        let u = F.empty fr in
+        Array.iteri
+          (fun q set -> if mask land (1 lsl q) <> 0 then F.union_into ~into:u set)
+          sets;
+        F.parts_sound fr ps mask = S.subset_sound spec (tasks_of u)
+      in
+      List.for_all agrees subsets
+      && List.for_all
+           (fun u -> outside_agrees u (Wolves_workload.Prng.int rng m))
+           subsets
+      && List.for_all parts_agree
+           (List.init 30 (fun _ -> 1 + Wolves_workload.Prng.int rng ((1 lsl p) - 1))))
+
+(* ------------------------------------------------------------------ *)
+(* Outcome identity: every corrector outcome field over a fixed corpus  *)
+(* ------------------------------------------------------------------ *)
+
+(* The four Pegasus templates at scales 4-16 under their natural views, and
+   the seeded entangled corpus at sizes 50-200. *)
+let identity_corpus () =
+  let module T = Wolves_workload.Templates in
+  List.concat_map
+    (fun suite ->
+      List.map
+        (fun scale ->
+          let spec = T.generate suite ~scale in
+          (Printf.sprintf "%s-%d" (T.suite_name suite) scale,
+           T.natural_view suite spec))
+        [ 4; 8; 12; 16 ])
+    T.all_suites
+  @ List.mapi
+      (fun i (_, view) -> (Printf.sprintf "corpus-%d" i, view))
+      (Views.unsound_corpus ~seed:7919 ~families:Gen.all_families
+         ~sizes:[ 50; 100; 200 ] ~per_cell:1)
+
+let render_parts parts =
+  String.concat "|"
+    (List.map (fun p -> String.concat "," (List.map string_of_int p)) parts)
+
+let render_outcome buf (o : C.outcome) =
+  Printf.bprintf buf " parts=%s checks=%d probes=%d certified=%b\n"
+    (render_parts o.C.parts) o.C.checks o.C.probes o.C.certified_strong
+
+let crit_name c = Format.asprintf "%a" C.pp_criterion c
+
+let render_tier buf (o : C.tier_outcome) =
+  let crit = crit_name in
+  Printf.bprintf buf " tier=%s abandoned=%s proven=%b" (crit o.C.tier)
+    (match o.C.abandoned with None -> "-" | Some c -> crit c)
+    o.C.proven_optimal;
+  render_outcome buf o.C.result
+
+(* Renders every outcome field (elapsed time aside) of [split_subset] under
+   each criterion and configuration, [split_subset_anytime], [correct] and
+   [correct_with_deadline] at deadlines from the weak floor to a budget no
+   composite exhausts. Deadline runs charge 10 ms per check, so the modeled
+   budget, not the wall clock, decides every tier. *)
+let render_corpus () =
+  let buf = Buffer.create (1 lsl 16) in
+  let no_cert = { C.default_config with C.certify = false } in
+  List.iter
+    (fun (name, view) ->
+      let spec = View.spec view in
+      Printf.bprintf buf "view %s\n" name;
+      List.iter
+        (fun (c, _) ->
+          let members = View.members view c in
+          Printf.bprintf buf "composite %d (%d members)\n" c
+            (List.length members);
+          List.iter
+            (fun (label, config, crit) ->
+              Printf.bprintf buf "  %s" label;
+              match C.split_subset ~config crit spec members with
+              | o -> render_outcome buf o
+              | exception Invalid_argument msg ->
+                Printf.bprintf buf " refused: %s\n" msg)
+            [ ("weak", C.default_config, C.Weak);
+              ("strong", C.default_config, C.Strong);
+              ("strong-nocert", no_cert, C.Strong);
+              ("optimal", C.default_config, C.Optimal) ];
+          let o, proven = C.split_subset_anytime ~node_budget:8 spec members in
+          Printf.bprintf buf "  anytime proven=%b" proven;
+          render_outcome buf o)
+        (S.validate view).S.unsound;
+      List.iter
+        (fun crit ->
+          let _, outcomes = C.correct crit view in
+          List.iter
+            (fun (c, o) ->
+              Printf.bprintf buf "  correct %s %d" (crit_name crit) c;
+              render_outcome buf o)
+            outcomes)
+        [ C.Weak; C.Strong ];
+      List.iter
+        (fun deadline_s ->
+          let _, outcomes =
+            C.correct_with_deadline ~node_budget:10 ~check_cost_s:1e-2
+              ~deadline_s view
+          in
+          List.iter
+            (fun (c, o) ->
+              Printf.bprintf buf "  deadline %g %d" deadline_s c;
+              render_tier buf o)
+            outcomes)
+        [ 0.; 0.05; 0.5; 5.; 1e6 ])
+    (identity_corpus ());
+  Buffer.contents buf
+
+(* On a mismatch the rendered text goes to the test log, to be diffed
+   against the same text from the previous implementation. *)
+let test_outcome_identity () =
+  let expected = "d8b11ee4e753bcc3d38a636274fc3960" in
+  let text = render_corpus () in
+  let digest = Digest.to_hex (Digest.string text) in
+  if digest <> expected then print_string text;
+  Alcotest.(check string) "outcome digest" expected digest
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "wolves_core"
@@ -735,6 +1023,7 @@ let () =
           Alcotest.test_case "minimal unsound core" `Quick
             test_minimal_unsound_core;
           qt prop_subset_io_matches_definition;
+          qt prop_frame_matches_reference;
           qt prop_minimal_core_is_minimal;
           qt prop_sound_view_preserves_paths ] );
       ( "corrector",
@@ -754,6 +1043,14 @@ let () =
             test_correct_with_deadline;
           Alcotest.test_case "deadline spent_s pre-charge" `Quick
             test_deadline_spent_precharge;
+          Alcotest.test_case "outcome identity over the template corpus" `Slow
+            test_outcome_identity;
+          Alcotest.test_case "certify_limit past the mask width" `Quick
+            test_certify_limit_overflow;
+          Alcotest.test_case "oracle max_parts past the mask width" `Quick
+            test_oracle_max_parts_overflow;
+          Alcotest.test_case "optimal_max_tasks past the mask width" `Quick
+            test_optimal_max_tasks_overflow;
           qt prop_weak_is_weakly_optimal;
           qt prop_strong_is_strongly_optimal;
           qt prop_part_count_ordering;
