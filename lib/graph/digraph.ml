@@ -110,10 +110,17 @@ let edges g = List.rev (fold_edges (fun u v acc -> (u, v) :: acc) g [])
 let copy g =
   { g with succ = Array.copy g.succ; pred = Array.copy g.pred }
 
+(* The edges of [g] are distinct, so each reversed edge is consed straight
+   onto its lists, in [iter_edges] order, with no duplicate test: [u]'s
+   predecessors in [t] are its successors in [g], list for list. *)
 let transpose g =
   let t = create ~initial_capacity:g.n () in
   add_nodes t g.n;
-  iter_edges (fun u v -> add_edge t v u) g;
+  for u = 0 to g.n - 1 do
+    List.iter (fun v -> t.succ.(v) <- u :: t.succ.(v)) g.succ.(u);
+    t.pred.(u) <- g.succ.(u)
+  done;
+  t.m <- g.m;
   t
 
 let of_edges ~n edges =

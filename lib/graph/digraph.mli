@@ -62,7 +62,8 @@ val edges : t -> (int * int) list
 val copy : t -> t
 
 val transpose : t -> t
-(** The graph with every edge reversed. *)
+(** The graph with every edge reversed, in O(n + m): the lists are those
+    [add_edge] would build reversing the edges in {!iter_edges} order. *)
 
 val of_edges : n:int -> (int * int) list -> t
 (** [of_edges ~n edges] builds a graph on nodes [0 .. n-1].

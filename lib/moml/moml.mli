@@ -30,7 +30,16 @@ type error =
 val pp_error : Format.formatter -> error -> unit
 
 val of_string : string -> (Spec.t * View.t, error) result
-(** Parse a MoML document into a specification and its view. *)
+(** Parse a MoML document into a specification and its view.
+
+    One pass of {!Wolves_xml.Parse.scan}, with no text and no tree: it keeps
+    only the elements MoML gives a meaning to (the root's entities, their
+    entities, ports and properties, relations, links). The structure checks
+    then run over those records in a fixed order, after the whole document
+    is known to be well formed: the root, each top-level entity in turn
+    (nesting, then each task's ports, then its properties), relations,
+    links, relation endpoints. XML errors therefore come first and
+    specification and view errors last. *)
 
 val to_string : View.t -> string
 (** Serialise a view (with its specification) as MoML. Every composite is

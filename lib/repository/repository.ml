@@ -99,14 +99,16 @@ type audit = {
 }
 
 let audit repo =
+  let reports =
+    List.map (fun entry -> (entry, Soundness.validate entry.view)) (entries repo)
+  in
   let per_entry =
     List.map
-      (fun entry ->
-        let report = Soundness.validate entry.view in
+      (fun (entry, report) ->
         { entry;
           total_composites = View.n_composites entry.view;
           unsound_composites = List.length report.Soundness.unsound })
-      (entries repo)
+      reports
   in
   let unsound_views =
     List.length (List.filter (fun a -> a.unsound_composites > 0) per_entry)
@@ -126,8 +128,7 @@ let audit repo =
   in
   let lanes = ref 0 and entangled = ref 0 in
   List.iter
-    (fun e ->
-      let report = Soundness.validate e.view in
+    (fun (e, report) ->
       List.iter
         (fun (c, _) ->
           let set =
@@ -140,7 +141,7 @@ let audit repo =
           | Some Soundness.Entangled -> incr entangled
           | None -> ())
         report.Soundness.unsound)
-    (entries repo);
+    reports;
   { per_entry;
     total = List.length per_entry;
     unsound_views;

@@ -10,7 +10,7 @@ type t = {
   task_names : string array;
   by_name : (string, task) Hashtbl.t;
   topo : task list;
-  attributes : (task * string, string) Hashtbl.t;
+  attributes : (string * string) list array; (* task -> attributes by key *)
   annots : (task, (task * task list) list) Hashtbl.t;
       (* task -> dependency annotation entries, declaration order: each
          entry names an output (by consumer task) and the inputs (by
@@ -122,12 +122,16 @@ module Builder = struct
     let task_names = Array.of_list (List.rev b.b_task_names) in
     match Algo.topological_sort graph with
     | Some topo ->
+      let attributes = Array.make (Array.length task_names) [] in
+      Hashtbl.iter
+        (fun (task, key) value -> attributes.(task) <- (key, value) :: attributes.(task))
+        b.b_attrs;
       Ok { name = b.b_name;
            graph;
            task_names;
            by_name = Hashtbl.copy b.b_by_name;
            topo;
-           attributes = Hashtbl.copy b.b_attrs;
+           attributes = Array.map (List.sort compare) attributes;
            annots = Hashtbl.copy b.b_annots;
            closure = None }
     | None ->
@@ -183,13 +187,10 @@ let producers spec t = Digraph.pred spec.graph t
 
 let consumers spec t = Digraph.succ spec.graph t
 
-let attr spec t key = Hashtbl.find_opt spec.attributes (t, key)
-
 let attrs spec t =
-  Hashtbl.fold
-    (fun (task, key) value acc -> if task = t then (key, value) :: acc else acc)
-    spec.attributes []
-  |> List.sort compare
+  if t < 0 || t >= Array.length spec.attributes then [] else spec.attributes.(t)
+
+let attr spec t key = List.assoc_opt key (attrs spec t)
 
 let float_attr spec t key = Option.bind (attr spec t key) float_of_string_opt
 

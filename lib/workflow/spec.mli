@@ -114,7 +114,8 @@ val attr : t -> task -> string -> string option
 (** A task's metadata attribute, if set. *)
 
 val attrs : t -> task -> (string * string) list
-(** All attributes of a task, sorted by key. *)
+(** All attributes of a task, sorted by key. The lists are built once, when
+    the builder finishes, so a call costs nothing per other task. *)
 
 val float_attr : t -> task -> string -> float option
 (** [attr] parsed as a float ([None] when missing or unparseable). *)

@@ -229,6 +229,47 @@ let test_digraph_transpose () =
   check_bool "double transpose = original" true
     (Digraph.equal g (Digraph.transpose t))
 
+(* [transpose] conses reversed edges directly; it must build the lists the
+   edge-by-edge definition builds, in the same order, on graphs whose hubs
+   have high fan-in and fan-out and whose edges arrive in random order
+   (cycles and self-loops included). *)
+let transpose_by_edges g =
+  let t = Digraph.create ~initial_capacity:(Digraph.n_nodes g) () in
+  Digraph.add_nodes t (Digraph.n_nodes g);
+  Digraph.iter_edges (fun u v -> Digraph.add_edge t v u) g;
+  t
+
+let hub_graph_gen =
+  QCheck2.Gen.(
+    let* n = int_range 1 60 in
+    let node = int_bound (n - 1) in
+    let* hubs = list_size (int_range 0 3) node in
+    let* spokes =
+      flatten_l
+        (List.map
+           (fun h ->
+             let+ outs = list_size (int_range 0 (2 * n)) node
+             and+ ins = list_size (int_range 0 (2 * n)) node in
+             List.map (fun v -> (h, v)) outs @ List.map (fun u -> (u, h)) ins)
+           hubs)
+    in
+    let* random = list_size (int_range 0 (3 * n)) (pair node node) in
+    let+ order = shuffle_l (List.concat spokes @ random) in
+    (n, order))
+
+let transpose_matches_edge_by_edge =
+  QCheck2.Test.make ~name:"transpose = edge-by-edge transpose (lists in order)"
+    ~count:300 hub_graph_gen
+    (fun (n, edges) ->
+      let g = Digraph.of_edges ~n edges in
+      let t = Digraph.transpose g and t' = transpose_by_edges g in
+      Digraph.n_nodes t = n
+      && Digraph.n_edges t = Digraph.n_edges t'
+      && List.for_all
+           (fun v ->
+             Digraph.succ t v = Digraph.succ t' v && Digraph.pred t v = Digraph.pred t' v)
+           (List.init n Fun.id))
+
 let test_digraph_induced () =
   let g = diamond () in
   let sub, back = Digraph.induced g [ 0; 1; 3 ] in
@@ -803,6 +844,7 @@ let () =
           Alcotest.test_case "remove_edge" `Quick test_digraph_remove;
           Alcotest.test_case "edge to unknown node" `Quick test_digraph_bad_edge;
           Alcotest.test_case "transpose" `Quick test_digraph_transpose;
+          QCheck_alcotest.to_alcotest transpose_matches_edge_by_edge;
           Alcotest.test_case "induced subgraph" `Quick test_digraph_induced;
           Alcotest.test_case "induced rejects duplicates" `Quick
             test_digraph_induced_dup;

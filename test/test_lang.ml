@@ -390,6 +390,59 @@ let prop_dsl_fuzz =
       | Ok _ | Error _ -> true
       | exception _ -> false)
 
+(* Random attributed specifications: a forward-edge DAG and a sequence of
+   [set_attr] writes, overwrites included, some values needing escapes. *)
+let gen_attributed =
+  QCheck2.Gen.(
+    let* n = int_range 1 30 in
+    let* edges = list_size (int_range 0 (2 * n)) (pair (int_bound (n - 1)) (int_bound (n - 1))) in
+    let+ writes =
+      list_size (int_range 0 (3 * n))
+        (triple (int_bound (n - 1))
+           (oneofl [ "duration"; "mem"; "class"; "a b" ])
+           (oneofl [ "1"; "2.5"; "4G"; "x&y"; "<q>"; "\"z\""; "" ]))
+    in
+    let name i = Printf.sprintf "t%d" i in
+    let b = Spec.Builder.create ~name:"attributed" () in
+    for i = 0 to n - 1 do
+      ignore (Spec.Builder.add_task_exn b (name i))
+    done;
+    List.iter
+      (fun (u, v) -> if u < v then Spec.Builder.add_dependency_exn b (name u) (name v))
+      edges;
+    List.iter (fun (t, key, value) -> Spec.Builder.set_attr_exn b (name t) ~key value) writes;
+    (Spec.Builder.finish_exn b, writes))
+
+(* [Spec.attrs] against its definition: fold every (task, key) write, the
+   last one winning, and sort the task's pairs. *)
+let prop_attrs_definition =
+  QCheck2.Test.make ~name:"attrs = fold over the attribute table" ~count:200
+    gen_attributed (fun (spec, writes) ->
+      let table = Hashtbl.create 16 in
+      List.iter (fun (t, key, value) -> Hashtbl.replace table (t, key) value) writes;
+      List.for_all
+        (fun t ->
+          Spec.attrs spec t
+          = List.sort compare
+              (Hashtbl.fold
+                 (fun (task, key) value acc -> if task = t then (key, value) :: acc else acc)
+                 table []))
+        (Spec.tasks spec))
+
+let prop_attrs_roundtrip =
+  QCheck2.Test.make ~name:"MoML and .wf round-trip attributes" ~count:200
+    gen_attributed (fun (spec, _) ->
+      let view = View.singleton_view spec in
+      let same (spec', _) =
+        List.for_all
+          (fun t ->
+            Spec.attrs spec t
+            = Spec.attrs spec' (Spec.task_of_name_exn spec' (Spec.task_name spec t)))
+          (Spec.tasks spec)
+      in
+      (match Moml.of_string (Moml.to_string view) with Ok r -> same r | Error _ -> false)
+      && (match Wfdsl.of_string (Wfdsl.to_string view) with Ok r -> same r | Error _ -> false))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "wolves_lang"
@@ -410,4 +463,6 @@ let () =
           Alcotest.test_case "deps errors" `Quick test_deps_errors;
           qt prop_dsl_roundtrip;
           qt prop_cross_format;
-          qt prop_dsl_fuzz ] ) ]
+          qt prop_dsl_fuzz;
+          qt prop_attrs_definition;
+          qt prop_attrs_roundtrip ] ) ]

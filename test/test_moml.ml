@@ -262,6 +262,272 @@ let moml_fuzz =
       | Ok _ | Error _ -> true
       | exception _ -> false)
 
+(* The DOM reader the one-pass reader replaced: [Parse.document], then a walk
+   of the tree. It is kept as the reference [Moml.of_string] must match
+   (test_xml checks [Parse.document] against the parser it replaced). *)
+module Reference = struct
+  module Ast = Wolves_xml.Ast
+  module Parse = Wolves_xml.Parse
+
+  exception Fail of Moml.error
+
+  let structure fmt = Format.kasprintf (fun msg -> raise (Fail (Moml.Structure msg))) fmt
+
+  let name_of e tag_context =
+    match Ast.attr e "name" with
+    | Some n -> n
+    | None -> structure "<%s> without a name attribute (%s)" e.Ast.tag tag_context
+
+  let split_port port =
+    match String.rindex_opt port '.' with
+    | None -> structure "port %S has no .in/.out suffix" port
+    | Some i ->
+      let task = String.sub port 0 i in
+      let dir = String.sub port (i + 1) (String.length port - i - 1) in
+      (match dir with
+       | "in" | "out" -> (task, dir)
+       | _ -> structure "port %S must end in .in or .out" port)
+
+  let is_entity (e : Ast.element) = e.Ast.tag = "entity"
+
+  let port_direction (port : Ast.element) port_name task_name =
+    let has name =
+      List.exists
+        (fun p -> Ast.attr p "name" = Some name)
+        (Ast.children_named port "property")
+    in
+    match (has "input", has "output") with
+    | true, false -> "in"
+    | false, true -> "out"
+    | true, true ->
+      structure "port %S of %S is both input and output (unsupported)" port_name
+        task_name
+    | false, false ->
+      structure "port %S of %S declares no direction (add <property name=\"input\"/> or \"output\")"
+        port_name task_name
+
+  let parse_root root =
+    if root.Ast.tag <> "entity" then
+      structure "root element must be <entity>, found <%s>" root.Ast.tag;
+    let workflow_name = name_of root "root" in
+    let groups = ref [] in
+    let tasks = ref [] in
+    let add_group name members = groups := (name, members) :: !groups in
+    let ports = Hashtbl.create 32 in
+    let attrs = ref [] in
+    let add_task_attrs entity task_name =
+      List.iter
+        (fun prop ->
+          match (Ast.attr prop "name", Ast.attr prop "value") with
+          | Some key, Some value -> attrs := (task_name, key, value) :: !attrs
+          | _ -> ())
+        (Ast.children_named entity "property")
+    in
+    let add_task_ports entity task_name =
+      List.iter
+        (fun port ->
+          let pname = name_of port "port" in
+          if Hashtbl.mem ports (task_name, pname) then
+            structure "duplicate port %S on %S" pname task_name;
+          Hashtbl.replace ports (task_name, pname)
+            (port_direction port pname task_name))
+        (Ast.children_named entity "port")
+    in
+    let add_task ?entity name =
+      tasks := name :: !tasks;
+      Option.iter
+        (fun e ->
+          add_task_ports e name;
+          add_task_attrs e name)
+        entity;
+      name
+    in
+    List.iter
+      (function
+        | Ast.Element child when is_entity child ->
+          let child_name = name_of child "top-level entity" in
+          let grandchildren = Ast.children_named child "entity" in
+          if grandchildren = [] then
+            add_group child_name [ add_task ~entity:child child_name ]
+          else begin
+            List.iter
+              (fun grand ->
+                if Ast.children_named grand "entity" <> [] then
+                  structure
+                    "entity %S nests deeper than composite/atomic (two levels)"
+                    (name_of grand "nested entity"))
+              grandchildren;
+            add_group child_name
+              (List.map
+                 (fun grand ->
+                   add_task ~entity:grand (name_of grand "atomic task"))
+                 grandchildren)
+          end
+        | Ast.Element _ | Ast.Text _ -> ())
+      root.Ast.children;
+    let relations = Hashtbl.create 32 in
+    List.iter
+      (fun rel ->
+        let n = name_of rel "relation" in
+        if Hashtbl.mem relations n then structure "duplicate relation %S" n;
+        Hashtbl.replace relations n [])
+      (Ast.children_named root "relation");
+    List.iter
+      (fun link ->
+        let port =
+          match Ast.attr link "port" with
+          | Some p -> p
+          | None -> structure "<link> without a port attribute"
+        in
+        let rel =
+          match Ast.attr link "relation" with
+          | Some r -> r
+          | None -> structure "<link> without a relation attribute"
+        in
+        match Hashtbl.find_opt relations rel with
+        | None -> structure "link references unknown relation %S" rel
+        | Some links ->
+          let task, direction =
+            match String.rindex_opt port '.' with
+            | Some i ->
+              let t = String.sub port 0 i in
+              let p = String.sub port (i + 1) (String.length port - i - 1) in
+              (match Hashtbl.find_opt ports (t, p) with
+               | Some dir -> (t, dir)
+               | None ->
+                 let t', dir = split_port port in
+                 (t', dir))
+            | None -> split_port port
+          in
+          Hashtbl.replace relations rel ((task, direction) :: links))
+      (Ast.children_named root "link");
+    let deps =
+      Hashtbl.fold
+        (fun rel links acc ->
+          let outs = List.filter (fun (_, d) -> d = "out") links in
+          let ins = List.filter (fun (_, d) -> d = "in") links in
+          if outs = [] then
+            structure "relation %S has no source (.out) port" rel
+          else if ins = [] then
+            structure "relation %S has no destination (.in) port" rel
+          else
+            List.fold_left
+              (fun acc (producer, _) ->
+                List.fold_left
+                  (fun acc (consumer, _) -> (rel, producer, consumer) :: acc)
+                  acc ins)
+              acc outs)
+        relations []
+      |> List.sort compare
+      |> List.map (fun (_, p, c) -> (p, c))
+    in
+    (workflow_name, List.rev !tasks, List.rev !groups, deps, List.rev !attrs)
+
+  let of_string text : (Spec.t * View.t, Moml.error) result =
+    match Parse.document text with
+    | Error e -> Error (Moml.Xml e)
+    | Ok root ->
+      (try
+         let name, tasks, groups, deps, attrs = parse_root root in
+         let b = Spec.Builder.create ~name () in
+         let rec step f = function
+           | [] -> Ok ()
+           | x :: rest ->
+             (match f x with Error e -> Error e | Ok _ -> step f rest)
+         in
+         let built =
+           match step (Spec.Builder.add_task b) tasks with
+           | Error e -> Error e
+           | Ok () ->
+             (match
+                step (fun (p, c) -> Spec.Builder.add_dependency b p c) deps
+              with
+              | Error e -> Error e
+              | Ok () ->
+                (match
+                   step
+                     (fun (task, key, value) ->
+                       Spec.Builder.set_attr b task ~key value)
+                     attrs
+                 with
+                 | Error e -> Error e
+                 | Ok () -> Spec.Builder.finish b))
+         in
+         (match built with
+          | Error e -> Error (Moml.Spec_error e)
+          | Ok spec ->
+            (match View.make spec groups with
+             | Error e -> Error (Moml.View_error e)
+             | Ok view -> Ok (spec, view)))
+       with Fail e -> Error e)
+end
+
+(* What a reader's answer says: the workflow name; every task in numbering
+   order with its consumers and producers in adjacency order and its
+   attributes; every composite with its members. A rejection is its
+   message. *)
+let outcome = function
+  | Error e -> Error (Format.asprintf "%a" Moml.pp_error e)
+  | Ok (spec, view) ->
+    let name = Spec.task_name spec in
+    Ok
+      ( Spec.name spec,
+        List.map
+          (fun t ->
+            ( name t,
+              List.map name (Spec.consumers spec t),
+              List.map name (Spec.producers spec t),
+              Spec.attrs spec t ))
+          (Spec.tasks spec),
+        List.map
+          (fun c -> (View.composite_name view c, List.map name (View.members view c)))
+          (View.composites view) )
+
+(* When several relations lack a source or a destination, the one named is
+   the first in the relation table's fold order: the table must be filled
+   as the reference fills it. *)
+let test_endpoint_error_relation () =
+  List.iter
+    (fun n ->
+      let relations =
+        String.concat ""
+          (List.init n (fun i ->
+               Printf.sprintf "<relation name=\"rel%d\"/><link port=\"a.%s\" relation=\"rel%d\"/>" i
+                 (if i mod 2 = 0 then "out" else "in") i))
+      in
+      let doc = Printf.sprintf "<entity name=\"w\"><entity name=\"a\"/>%s</entity>" relations in
+      match (outcome (Moml.of_string doc), outcome (Reference.of_string doc)) with
+      | Error got, Error expected -> Alcotest.(check string) (Printf.sprintf "%d relations" n) expected got
+      | _ -> Alcotest.failf "%d relations: expected both readers to reject" n)
+    [ 2; 3; 7; 20; 33; 64; 65; 150; 400 ]
+
+(* Dependencies reach the builder sorted as (relation, producer, consumer),
+   so the first one it rejects (an undeclared task, a self-dependency) is the
+   same for both readers. *)
+let test_dependency_order () =
+  let doc ends =
+    Printf.sprintf
+      "<entity name=\"w\"><entity name=\"a\"/><entity name=\"b\"/><entity name=\"c\"/><relation name=\"r\"/>%s</entity>"
+      (String.concat ""
+         (List.map (fun e -> Printf.sprintf "<link port=\"%s\" relation=\"r\"/>" e) ends))
+  in
+  List.iter
+    (fun ends ->
+      let d = doc ends in
+      Alcotest.(check bool) (String.concat " " ends) true
+        (outcome (Moml.of_string d) = outcome (Reference.of_string d)))
+    [ [ "b.out"; "ghost.out"; "a.in"; "b.in" ];
+      [ "ghost.out"; "b.out"; "b.in"; "a.in" ];
+      [ "c.out"; "a.out"; "zz.in"; "a.in"; "c.in" ];
+      [ "a.out"; "b.out"; "c.in"; "b.in"; "a.in" ] ]
+
+(* QCHECK_LONG=1 runs 30,000 documents, about 22,500 of them mutated. *)
+let reader_matches_reference =
+  QCheck2.Test.make ~name:"one-pass reader = DOM reader (workflows and errors)"
+    ~count:1000 ~long_factor:30 ~print:String.escaped
+    QCheck2.Gen.(frequency [ (1, Moml_corpus.document); (3, Moml_corpus.mutated) ])
+    (fun doc -> outcome (Moml.of_string doc) = outcome (Reference.of_string doc))
+
 let () =
   Alcotest.run "wolves_moml"
     [ ( "parse",
@@ -280,4 +546,10 @@ let () =
           Alcotest.test_case "bare specification" `Quick test_spec_to_string;
           Alcotest.test_case "file save/load" `Quick test_file_io;
           QCheck_alcotest.to_alcotest roundtrip_prop;
-          QCheck_alcotest.to_alcotest moml_fuzz ] ) ]
+          QCheck_alcotest.to_alcotest moml_fuzz ] );
+      ( "equiv",
+        [ Alcotest.test_case "endpoint error names the same relation" `Quick
+            test_endpoint_error_relation;
+          Alcotest.test_case "dependency order decides the first error" `Quick
+            test_dependency_order;
+          QCheck_alcotest.to_alcotest reader_matches_reference ] ) ]

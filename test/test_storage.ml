@@ -46,6 +46,67 @@ let test_crc32c () =
     (Crc.string "123456789" <> Crc.string "123456789\x00"
      && Crc.string "123456799" <> Crc.string "123456789")
 
+(* The byte-at-a-time definition the slicing-by-8 loop must agree with. *)
+let crc_bytewise crc s ~pos ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0x82F63B78 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+(* Random strings, at every alignment, with short (0-40 bytes) and longer
+   ranges, and chained through [update] from a random running value. *)
+let crc32c_matches_bytewise =
+  QCheck2.Test.make ~name:"crc32c = byte-at-a-time definition" ~count:500
+    QCheck2.Gen.(
+      let* s = string_size ~gen:char (int_range 0 300) in
+      let n = String.length s in
+      let* pos = int_range 0 n in
+      let* len = oneof [ int_range 0 (min 40 (n - pos)); int_range 0 (n - pos) ] in
+      let+ seed = oneof [ return 0; int_bound 0x3FFFFFFF ] in
+      (s, pos, len, seed))
+    (fun (s, pos, len, seed) ->
+      Crc.substring s ~pos ~len = crc_bytewise 0 s ~pos ~len
+      && Crc.update seed s ~pos ~len = crc_bytewise seed s ~pos ~len
+      && Crc.string s = crc_bytewise 0 s ~pos:0 ~len:(String.length s))
+
+(* A store written before the checksum loop changed (fixtures/store-v1: one
+   shard, one MoML workflow) still verifies clean, opens without any
+   recovery, and returns its record. *)
+let test_store_from_earlier_build () =
+  (* [dune runtest] runs in the test directory, [dune exec] from the root *)
+  let fixture =
+    List.find Sys.file_exists [ "fixtures/store-v1"; "test/fixtures/store-v1" ]
+  in
+  with_dir (fun dir ->
+      Sys.mkdir dir 0o755;
+      List.iter
+        (fun f ->
+          let text = In_channel.with_open_bin (Filename.concat fixture f) In_channel.input_all in
+          Out_channel.with_open_bin (Filename.concat dir f) (fun oc -> output_string oc text))
+        [ "CATALOG"; "shard000-000000.seg" ];
+      let report = ok "verify" (S.verify dir) in
+      check_int "no issues" 0 (List.length report.S.issues);
+      check_int "one record" 1 report.S.v_records;
+      let t, recovery = ok "open" (S.open_ dir) in
+      check_int "nothing truncated" 0 (List.length recovery.S.truncations);
+      check_bool "catalog kept" false recovery.S.manifest_rebuilt;
+      (match ok "latest" (S.latest t S.Workflow) with
+       | [ r ] ->
+         Alcotest.(check string) "id" "tiny" r.S.id;
+         check_bool "MoML payload" true
+           (Result.is_ok (Wolves_moml.Moml.of_string r.S.value))
+       | records -> Alcotest.failf "expected one record, got %d" (List.length records));
+      ignore (S.close t))
+
 (* --- basic lifecycle --- *)
 
 let small_config = { S.shards = 3; segment_bytes = 2048 }
@@ -385,7 +446,10 @@ let test_transient_error_rolls_back () =
 let () =
   Alcotest.run "wolves-storage"
     [ ( "crc32c",
-        [ Alcotest.test_case "vectors and composition" `Quick test_crc32c ] );
+        [ Alcotest.test_case "vectors and composition" `Quick test_crc32c;
+          QCheck_alcotest.to_alcotest crc32c_matches_bytewise;
+          Alcotest.test_case "store from an earlier build verifies" `Quick
+            test_store_from_earlier_build ] );
       ( "lifecycle",
         [ Alcotest.test_case "roundtrip" `Quick test_roundtrip;
           Alcotest.test_case "latest supersedes" `Quick test_latest_supersedes;
