@@ -315,10 +315,8 @@ let e_time () =
     "\xc2\xa73.1: strong is several orders of magnitude faster than optimal and \
      comparable in efficiency with weak";
   Report.kv "domains" (Json.Int (Par.default_domains ()));
-  (* strong* = the polynomial closure algorithm alone; strong+cert adds the
-     exhaustive certification sweep this repo runs by default (see
-     DESIGN.md). The paper's claims concern the polynomial algorithm. *)
-  let no_cert = { C.default_config with C.certify = false } in
+  (* strong = the polynomial closure algorithm, whose final round also
+     certifies its result (see DESIGN.md). *)
   let seeds = List.init (sm 3 1) Fun.id in
   let instance_for seed n =
     (* Mix a structured hardness instance into every size so the correctors
@@ -334,25 +332,21 @@ let e_time () =
   let rows =
     List.map
       (fun n ->
-        let collect config criterion =
+        let collect criterion =
           mean
             (List.map
                (fun seed ->
                  let spec, members = instance_for seed n in
                  time_per_run ~budget:0.02 (fun () ->
-                     C.split_subset ~config criterion spec members))
+                     C.split_subset criterion spec members))
                seeds)
         in
-        let weak_t = collect C.default_config C.Weak in
-        let strong_t = collect no_cert C.Strong in
-        let strong_cert_t = collect C.default_config C.Strong in
-        let optimal_t =
-          if n <= 18 then Some (collect C.default_config C.Optimal) else None
-        in
+        let weak_t = collect C.Weak in
+        let strong_t = collect C.Strong in
+        let optimal_t = if n <= 18 then Some (collect C.Optimal) else None in
         [ string_of_int n;
           fmt_s weak_t;
           fmt_s strong_t;
-          fmt_s strong_cert_t;
           (match optimal_t with Some t -> fmt_s t | None -> "(skipped)");
           (match optimal_t with
            | Some t -> Printf.sprintf "%.0fx" (t /. strong_t)
@@ -362,11 +356,9 @@ let e_time () =
   print_endline
     (Table.render
        ~align:
-         [ Table.Right; Table.Right; Table.Right; Table.Right; Table.Right;
-           Table.Right ]
+         [ Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
        ~header:
-         [ "composite size"; "weak"; "strong*"; "strong+cert"; "optimal";
-           "optimal/strong*" ]
+         [ "composite size"; "weak"; "strong"; "optimal"; "optimal/strong" ]
        rows)
 
 (* ------------------------------------------------------------------ *)

@@ -13,7 +13,6 @@ open Wolves_workflow
 module S = Wolves_core.Soundness
 module C = Wolves_core.Corrector
 module P = Wolves_provenance.Provenance
-module Opm = Wolves_provenance.Opm
 module Render = Wolves_cli.Render
 module Bitset = Wolves_graph.Bitset
 
@@ -82,11 +81,6 @@ let () =
     (S.is_sound merged_view)
     (List.length (View.members merged_view merged))
     (View.composite_name merged_view merged);
-
-  rule "OPM provenance graph";
-  let opm = Opm.of_spec spec in
-  Format.printf "expanded OPM graph: %d processes, %d artifacts@."
-    (Opm.n_processes opm) (Opm.n_artifacts opm);
 
   (* DOT artifacts for inspection with Graphviz. *)
   let out = "phylogenomics_view.dot" in

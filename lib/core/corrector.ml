@@ -17,7 +17,6 @@ let m_closure_branches = Obs.counter "corrector.closure.branches"
 let m_budget_exhausted = Obs.counter "corrector.closure.budget_exhausted"
 let m_certified = Obs.counter "corrector.certified"
 let m_uncertified = Obs.counter "corrector.uncertified"
-let m_certify_repairs = Obs.counter "corrector.certify.repairs"
 let m_anytime_nodes = Obs.counter "corrector.anytime.nodes"
 let m_anytime_proven = Obs.counter "corrector.anytime.proven"
 let m_anytime_cut = Obs.counter "corrector.anytime.budget_cut"
@@ -26,7 +25,6 @@ let m_deadline_strong = Obs.counter "corrector.deadline.answered_strong"
 let m_deadline_optimal = Obs.counter "corrector.deadline.answered_optimal"
 let t_split = Obs.timer "corrector.split"
 let t_deadline = Obs.timer "corrector.with_deadline"
-let t_certify = Obs.timer "corrector.certify"
 
 type criterion =
   | Weak
@@ -53,28 +51,22 @@ type outcome = {
 
 type config = {
   branch_budget : int;
-  certify : bool;
-  certify_limit : int;
   optimal_max_tasks : int;
 }
 
-let default_config =
-  { branch_budget = 64; certify = true; certify_limit = 18; optimal_max_tasks = 18 }
+let default_config = { branch_budget = 64; optimal_max_tasks = 18 }
 
-(* Every limit whose masks count 2^limit subsets must leave [1 lsl limit]
-   a non-negative int: at 63 bits, [1 lsl 63 = 0] and [1 lsl 64 = 1], so an
-   unchecked loop would enumerate nothing and still certify. *)
+(* The optimal DP counts 2^optimal_max_tasks masks, so [1 lsl limit] must
+   stay a non-negative int: at 63 bits, [1 lsl 63 = 0] and [1 lsl 64 = 1],
+   so an unchecked loop would enumerate nothing. *)
 let check_config config =
-  let check field limit =
-    if limit > Frame.max_parts then
-      invalid_arg
-        (Printf.sprintf
-           "Corrector: %s = %d exceeds %d (its 2^%d masks must fit a \
-            non-negative int)"
-           field limit Frame.max_parts limit)
-  in
-  check "certify_limit" config.certify_limit;
-  check "optimal_max_tasks" config.optimal_max_tasks
+  let limit = config.optimal_max_tasks in
+  if limit > Frame.max_parts then
+    invalid_arg
+      (Printf.sprintf
+         "Corrector: optimal_max_tasks = %d exceeds %d (its 2^%d masks must \
+          fit a non-negative int)"
+         limit Frame.max_parts limit)
 
 (* Shared mutable state of one correction run: the specification and two
    counters. [checks] counts subset-soundness evaluations (Def 2.3), once
@@ -117,10 +109,6 @@ let frame_sound ctx fr u =
 let frame_witness ctx fr u =
   count_check ctx;
   Frame.first_witness fr u
-
-let parts_sound ctx fr ps mask =
-  count_check ctx;
-  Frame.parts_sound fr ps mask
 
 (* ------------------------------------------------------------------ *)
 (* Weak local optimality: greedy pair merging from singletons.         *)
@@ -173,8 +161,12 @@ let weak_split ctx fr =
    repaired by absorbing the parts that make x an input (every outside
    predecessor of x, only possible when they all lie inside the composite) or
    dually the parts consuming y. Forced repairs are applied directly;
-   two-sided choices branch within [budget]. *)
-let try_closure ctx fr ~budget parts part_of seed_i seed_j =
+   two-sided choices branch within [budget]. While the budget lasts the
+   search is complete: it finds a sound union containing the seed pair
+   whenever one exists (DESIGN.md). A two-sided choice met with no budget
+   left follows the input side only and sets [exhausted], since the search
+   may then miss a union. *)
+let try_closure ctx fr ~budget ~exhausted parts part_of seed_i seed_j =
   let p = Array.length parts in
   let union_of included =
     let u = Frame.empty fr in
@@ -212,6 +204,7 @@ let try_closure ctx fr ~budget parts part_of seed_i seed_j =
          end
          else begin
            Obs.incr m_budget_exhausted;
+           exhausted := true;
            apply ks_in
          end)
   in
@@ -220,7 +213,7 @@ let try_closure ctx fr ~budget parts part_of seed_i seed_j =
   included.(seed_j) <- true;
   solve included (union_of included)
 
-let find_combinable_parts ctx fr ~budget parts =
+let find_combinable_parts ctx fr ~budget ~exhausted parts =
   let p = Array.length parts in
   let part_of = Array.make (Frame.size fr) 0 in
   Array.iteri (fun k set -> Frame.iter (fun i -> part_of.(i) <- k) set) parts;
@@ -229,7 +222,7 @@ let find_combinable_parts ctx fr ~budget parts =
   while !found = None && !i < p do
     let j = ref (!i + 1) in
     while !found = None && !j < p do
-      (match try_closure ctx fr ~budget parts part_of !i !j with
+      (match try_closure ctx fr ~budget ~exhausted parts part_of !i !j with
        | Some included ->
          found :=
            Some
@@ -253,51 +246,27 @@ let merge_parts fr parts indices =
   Array.of_list
     (List.sort (fun a b -> compare (Frame.lowest a) (Frame.lowest b)) all)
 
-(* Exhaustive fallback: find any combinable subset of ≥ 2 parts by mask
-   enumeration, in increasing mask order. Exponential in the number of
-   parts; only used under [certify_limit], which [check_config] keeps within
-   [Frame.max_parts]. Each mask is one part-level frame evaluation. *)
-let exhaustive_combinable ctx fr parts =
-  let p = Array.length parts in
-  let ps = Frame.parts fr parts in
-  let limit = 1 lsl p in
-  let rec scan mask =
-    if mask >= limit then None
-    else if mask land (mask - 1) <> 0 && parts_sound ctx fr ps mask then
-      Some (List.filter (fun k -> mask land (1 lsl k) <> 0) (List.init p Fun.id))
-    else scan (mask + 1)
-  in
-  scan 3
-
 (* The strong loop starting from an arbitrary partition (normally the weak
    corrector's); factored out so the deadline chain can hand it the weak
-   result it already holds and abandon it mid-flight via [ctx.stop]. *)
+   result it already holds and abandon it mid-flight via [ctx.stop]. Every
+   combinable subset of parts contains a pair, and every pair seeds a
+   closure search, so a round that finds no merge without exhausting any
+   seed's budget proves the split strongly local optimal (Def 2.6): that
+   round is the certificate. Each round owns its flag; a round that finds a
+   merge ignores it. *)
 let strong_refine ctx fr ~config parts0 =
-  let parts = ref parts0 in
-  let continue_ = ref true in
-  let certified = ref false in
-  while !continue_ do
-    match find_combinable_parts ctx fr ~budget:config.branch_budget !parts with
-    | Some indices -> parts := merge_parts fr !parts indices
-    | None ->
-      (* The closure search is done; certify (and repair) exhaustively when
-         requested and small enough. A merge found here is one the closure
-         search missed: a repair. *)
-      if config.certify && Array.length !parts <= config.certify_limit then begin
-        match
-          Obs.time t_certify (fun () -> exhaustive_combinable ctx fr !parts)
-        with
-        | Some indices ->
-          Obs.incr m_certify_repairs;
-          parts := merge_parts fr !parts indices
-        | None ->
-          certified := true;
-          continue_ := false
-      end
-      else continue_ := false
-  done;
-  Obs.incr (if !certified then m_certified else m_uncertified);
-  (!parts, !certified)
+  let rec round parts =
+    let exhausted = ref false in
+    match
+      find_combinable_parts ctx fr ~budget:config.branch_budget ~exhausted
+        parts
+    with
+    | Some indices -> round (merge_parts fr parts indices)
+    | None -> (parts, not !exhausted)
+  in
+  let parts, certified = round parts0 in
+  Obs.incr (if certified then m_certified else m_uncertified);
+  (parts, certified)
 
 let strong_split ctx fr ~config =
   strong_refine ctx fr ~config (weak_split ctx fr)

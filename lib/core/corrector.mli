@@ -8,7 +8,9 @@
     - {b Strong local optimality} (Def 2.6): no subset of parts can be merged
       into a sound task. Polynomial seeded-closure subset search on top of the
       weak result (reconstruction of the paper's O(n³) algorithm, see
-      DESIGN.md), with an optional exhaustive certification pass.
+      DESIGN.md). The search is complete within its branch budget, so its
+      final round is also the proof that the result is strongly local
+      optimal.
     - {b Optimality}: minimum number of sound parts (Theorem 2.2: NP-hard),
       via an exact O(3ⁿ) dynamic program over subsets, practical to n ≈ 18.
 
@@ -19,9 +21,8 @@
 
     Each split builds one {!Soundness.Frame} over the composite's members
     and decides every subset of them on it, with word operations and no
-    allocation; the exhaustive certification pass decides its masks with
-    the frame's part-level kernel. Only the anytime branch-and-bound's
-    final checks go through {!Soundness.subset_sound}. *)
+    allocation. Only the anytime branch-and-bound's final checks go through
+    {!Soundness.subset_sound}. *)
 
 open Wolves_workflow
 
@@ -53,37 +54,29 @@ type outcome = {
           pruning probes and the optimal DP's bit-parallel mask
           evaluations. *)
   certified_strong : bool;
-      (** [true] when an exhaustive pass proved the result strongly local
-          optimal (always attempted for [Strong] and [Optimal] results with
-          at most [certify_limit] parts). *)
+      (** [true] when the result is proven strongly local optimal (Def 2.6):
+          a sound composite left whole, a proven minimum ([Optimal], a
+          completed anytime or deadline search), or a strong split whose
+          final closure round found no combinable parts without any seed
+          running out of [branch_budget]. That round is complete, so the
+          proof holds however many parts the split has. A final round that
+          exhausted a budget leaves the split uncertified, and so does a
+          [Weak] split of an unsound composite. *)
 }
 
-(** Tuning knobs; {!default_config} suits tests and benches. The two limits
-    that bound a mask enumeration must be at most
-    {!Soundness.Frame.max_parts} (61), so that the 2^limit masks fit a
-    non-negative int; every function taking a config raises
-    [Invalid_argument] naming the field otherwise. *)
+(** Tuning knobs; {!default_config} suits tests and benches. *)
 type config = {
   branch_budget : int;
       (** Extra branch points the strong closure search may explore per seed
-          (forced repairs are free). Default 64. *)
-  certify : bool;
-      (** Run the exhaustive verification/repair pass after the polynomial
-          closure search (default true). With [false] the corrector is the
-          pure polynomial reconstruction; its output was strongly local
-          optimal on every workload in this repository's test-suite, but the
-          guarantee is only by construction of the closure, not by
-          enumeration. *)
-  certify_limit : int;
-      (** Exhaustive strong-optimality verification runs when the split has
-          at most this many parts. Default 18; at most 61. The pass costs
-          O(2^p · (p + |in|) · ⌈m/63⌉) word operations for p parts of an
-          m-member composite; its time is the [corrector.certify] timer
-          and the merges it finds that the closure search missed are
-          counted by [corrector.certify.repairs]. *)
+          (forced repairs are free). Default 64. A search that runs out of
+          it may miss a combinable subset; the parts stay sound, and the
+          split reads uncertified if that happens in its final round. *)
   optimal_max_tasks : int;
       (** [Optimal] refuses composites larger than this (the DP is
-          exponential). Default 18; at most 61. *)
+          exponential). Default 18; at most {!Soundness.Frame.max_parts}
+          (61), so that its 2^limit masks fit a non-negative int; every
+          function taking a config raises [Invalid_argument] naming the
+          field otherwise. *)
 }
 
 val default_config : config
@@ -92,7 +85,7 @@ val split_subset :
   ?config:config -> criterion -> Spec.t -> Spec.task list -> outcome
 (** Split an arbitrary task subset (typically the members of one composite).
     @raise Invalid_argument when the subset is empty, contains duplicates, or
-    ([Optimal]) exceeds [optimal_max_tasks], or when a config limit is
+    ([Optimal]) exceeds [optimal_max_tasks], or when [optimal_max_tasks] is
     past the mask width. *)
 
 val split_subset_anytime :

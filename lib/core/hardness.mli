@@ -57,7 +57,9 @@ val strong_gap_instance : unit -> Spec.t * Spec.task list
     The greedy pass merges [{a,d}] first — both are input-less, so the pair
     is {e vacuously} sound — and gets stuck at [{a,d}, {b}, {c}] (3 parts):
     no pair and no subset of these parts is combinable, so the split is
-    certified strongly local optimal. The true minimum is
+    certified strongly local optimal. Proving that takes one two-sided
+    branch of the closure search, so at [branch_budget = 0] the same split
+    reads uncertified. The true minimum is
     [{a,b,c}, {d}] (2 parts: in = out = {b}), which is {e not a coarsening}
     of the greedy split — reaching it requires re-partitioning, which is
     exactly the operation local optimality does not license. *)

@@ -237,56 +237,6 @@ module Frame = struct
 
   let preds_outside fr x u = outside fr fr.ext_in fr.pred x u
   let succs_outside fr y u = outside fr fr.ext_out fr.succ y u
-
-  type parts = {
-    count : int;
-    members : int array;
-    succs : int array;
-    preds : int array;
-  }
-
-  let parts fr sets =
-    let count = Array.length sets in
-    if count > max_parts then
-      invalid_arg
-        (Printf.sprintf "Soundness.Frame.parts: %d parts, at most %d" count
-           max_parts);
-    let w = fr.words in
-    let members = Array.make (count * w) 0 in
-    let succs = Array.make (count * w) 0 and preds = Array.make (count * w) 0 in
-    Array.iteri
-      (fun q set ->
-        Array.blit set 0 members (q * w) w;
-        fold
-          (fun i () ->
-            for k = 0 to w - 1 do
-              let r = (q * w) + k and row = (i * w) + k in
-              succs.(r) <- succs.(r) lor fr.succ.(row);
-              preds.(r) <- preds.(r) lor fr.pred.(row)
-            done)
-          set ())
-      sets;
-    { count; members; succs; preds }
-
-  (* in(U) = U ∩ (ext_in ∪ succ(M∖U)) and out(U) = U ∩ (ext_out ∪ pred(M∖U)),
-     M∖U being the union of the parts the mask leaves out. *)
-  let parts_sound fr ps mask =
-    Obs.incr m_subset_checks;
-    let w = fr.words in
-    for k = 0 to w - 1 do
-      let u = ref 0 and s = ref 0 and p = ref 0 in
-      for q = 0 to ps.count - 1 do
-        let r = (q * w) + k in
-        if mask land (1 lsl q) <> 0 then u := !u lor ps.members.(r)
-        else begin
-          s := !s lor ps.succs.(r);
-          p := !p lor ps.preds.(r)
-        end
-      done;
-      fr.ins.(k) <- !u land (fr.ext_in.(k) lor !s);
-      fr.outs.(k) <- !u land (fr.ext_out.(k) lor !p)
-    done;
-    first_bad_input fr < 0
 end
 
 type unsoundness_kind =

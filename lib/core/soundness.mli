@@ -55,9 +55,9 @@ val subset_witnesses :
     stays the reference the frame is tested against.
 
     Every evaluation counts exactly as the call it replaces:
-    {!Frame.sound} and {!Frame.parts_sound} as one {!subset_sound},
-    {!Frame.first_witness} as one {!subset_witnesses}. A frame owns two
-    scratch rows, so it belongs to one call on one domain. *)
+    {!Frame.sound} as one {!subset_sound}, {!Frame.first_witness} as one
+    {!subset_witnesses}. A frame owns two scratch rows, so it belongs to one
+    call on one domain. *)
 module Frame : sig
   type t = private {
     tasks : Spec.task array;  (** member [i] is [tasks.(i)]; increasing *)
@@ -122,20 +122,6 @@ module Frame : sig
 
   val succs_outside : t -> int -> set -> int list option
   (** The same for successors. *)
-
-  type parts
-  (** A partition of M into at most {!max_parts} parts, with each part's
-      members and the union of their successor and predecessor rows. *)
-
-  val parts : t -> set array -> parts
-  (** The sets must partition M. O(m·words).
-      @raise Invalid_argument beyond {!max_parts} parts. *)
-
-  val parts_sound : t -> parts -> int -> bool
-  (** [parts_sound fr ps mask]: is the union of the parts whose bits are set
-      in [mask] sound? ORs the chosen parts into U and the others' successor
-      and predecessor rows into succ(M∖U) and pred(M∖U): O(parts·words)
-      plus O(|in(U)|·words) for the reach test. *)
 end
 
 (** Structural class of an unsound composite — what kind of mistake the

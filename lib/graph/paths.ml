@@ -1,39 +1,3 @@
-let topo_or_fail g name =
-  match Algo.topological_sort g with
-  | Some order -> order
-  | None -> invalid_arg (Printf.sprintf "Paths.%s: graph has a cycle" name)
-
-let count_paths g source target =
-  let n = Digraph.n_nodes g in
-  if source < 0 || source >= n || target < 0 || target >= n then
-    invalid_arg "Paths.count_paths: unknown node";
-  let order = topo_or_fail g "count_paths" in
-  (* counts.(v) = number of paths source -> v, accumulated forward. *)
-  let counts = Array.make n 0.0 in
-  counts.(source) <- 1.0;
-  List.iter
-    (fun v ->
-      if counts.(v) > 0.0 then
-        List.iter
-          (fun w -> counts.(w) <- counts.(w) +. counts.(v))
-          (Digraph.succ g v))
-    order;
-  counts.(target)
-
-let total_paths g =
-  let n = Digraph.n_nodes g in
-  let order = topo_or_fail g "total_paths" in
-  (* ending.(v) = number of non-empty paths ending at v; each edge u -> v
-     extends every path ending at u, plus the length-1 path (u, v). *)
-  let ending = Array.make n 0.0 in
-  List.iter
-    (fun v ->
-      List.iter
-        (fun w -> ending.(w) <- ending.(w) +. ending.(v) +. 1.0)
-        (Digraph.succ g v))
-    order;
-  Array.fold_left ( +. ) 0.0 ending
-
 let find_path g source target =
   let n = Digraph.n_nodes g in
   if source < 0 || source >= n || target < 0 || target >= n then
@@ -65,23 +29,3 @@ let find_path g source target =
       Some (build target [])
     end
   end
-
-let transitive_reduction g =
-  ignore (topo_or_fail g "transitive_reduction");
-  let r = Reach.compute g in
-  let reduced = Digraph.create ~initial_capacity:(Digraph.n_nodes g) () in
-  Digraph.add_nodes reduced (Digraph.n_nodes g);
-  Digraph.iter_edges
-    (fun u v ->
-      (* Keep u -> v unless another successor of u already reaches v. *)
-      let redundant =
-        List.exists
-          (fun w -> w <> v && Reach.reaches r w v)
-          (Digraph.succ g u)
-      in
-      if not redundant then Digraph.add_edge reduced u v)
-    g;
-  reduced
-
-let is_transitively_reduced g =
-  Digraph.equal g (transitive_reduction g)

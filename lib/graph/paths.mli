@@ -1,28 +1,6 @@
-(** Path counting and transitive reduction on DAGs.
-
-    Path counts quantify why the naive Definition 2.1 check explodes (the
-    E-VALID experiment reports them); the transitive reduction is the minimal
-    workflow with the same provenance semantics — useful for display and as a
-    canonical form. Both reject cyclic graphs. *)
-
-val count_paths : Digraph.t -> int -> int -> float
-(** Number of distinct directed paths between two nodes (1 when equal, as
-    the empty path). Computed as a float because counts grow exponentially;
-    exact for counts below 2⁵³. @raise Invalid_argument on a cyclic graph or
-    unknown nodes. *)
-
-val total_paths : Digraph.t -> float
-(** Total number of non-empty directed paths in the DAG — the search space
-    of naive path enumeration. *)
+(** Witness paths between nodes, as provenance explanations print them. *)
 
 val find_path : Digraph.t -> int -> int -> int list option
 (** Some directed path [u; ...; v] (node sequence, consecutive pairs are
     edges), or [None] when unreachable. [Some [u]] when [u = v]. BFS, so the
     path has the fewest edges. Works on cyclic graphs. *)
-
-val transitive_reduction : Digraph.t -> Digraph.t
-(** The unique minimal subgraph of a DAG with the same reachability
-    relation: every edge [u -> v] such that [v] is reachable from [u] by a
-    longer path is removed. @raise Invalid_argument on a cyclic graph. *)
-
-val is_transitively_reduced : Digraph.t -> bool

@@ -1,5 +1,5 @@
 (** The request handlers behind {!Server}, as a plain library: a corpus of
-    named workflow views with every index pinned, and a total
+    named workflow views with every index its handlers read pinned, and a total
     [request -> reply] function.
 
     Keeping this separate from the connection machinery is what makes the
@@ -13,10 +13,13 @@ open Wolves_workflow
 type t
 
 val load : (string * View.t) list -> t
-(** Build a corpus. Forces every lazily-built index each view can reach —
-    the dense closure (descendant and ancestor rows) and the view-graph
-    closure — so concurrent request handlers only ever read shared state.
-    Pinning is farmed over the {!Wolves_par.Par} pool.
+(** Build a corpus. Forces every lazily-built index a request handler
+    reads — the spec's dense closure (descendant and ancestor rows) — so
+    concurrent request handlers only ever read shared state. Pinning is
+    farmed over the {!Wolves_par.Par} pool. The view-graph closure
+    ({!Wolves_workflow.View.view_reach}) is not pinned: handlers must not
+    read it, since a first read from two domains at once would build it
+    twice and race on its cache.
     @raise Invalid_argument on duplicate or empty ids. *)
 
 val of_files : string list -> (t, string) result

@@ -220,6 +220,29 @@ let test_minimal_unsound_core () =
   check_bool "empty subset has no core" true
     (S.minimal_unsound_core spec sound = None)
 
+(* A sound view's view graph is acyclic; an unsound one's need not be. *)
+let prop_sound_views_acyclic =
+  QCheck2.Test.make ~name:"sound views have acyclic view graphs" ~count:80
+    QCheck2.Gen.(triple (int_range 0 100_000) (int_range 8 40) (int_range 2 6))
+    (fun (seed, size, k) ->
+      let family = List.nth Gen.all_families (seed mod 4) in
+      let spec = Gen.generate family ~seed ~size in
+      let view, _ =
+        C.correct C.Strong (Views.build ~seed (Views.Random_partition k) spec)
+      in
+      Wolves_graph.Algo.is_dag (View.view_graph view))
+
+let test_unsound_view_graph_can_cycle () =
+  (* x -> a, b -> y with A = {x, y}, B = {a, b}: edges A->B and B->A. *)
+  let spec =
+    Spec.of_tasks_exn ~name:"cycle" [ "x"; "a"; "b"; "y" ]
+      [ ("x", "a"); ("b", "y") ]
+  in
+  let view = View.make_exn spec [ ("A", [ "x"; "y" ]); ("B", [ "a"; "b" ]) ] in
+  check_bool "view graph cyclic" false
+    (Wolves_graph.Algo.is_dag (View.view_graph view));
+  check_bool "and the view is unsound" false (S.is_sound view)
+
 (* ------------------------------------------------------------------ *)
 (* Corrector: Figure 3 and the paper's spot checks                     *)
 (* ------------------------------------------------------------------ *)
@@ -442,6 +465,23 @@ let test_strong_gap_instance () =
   check_bool "B&B proves it" true proven;
   check_int "B&B parts" 2 (List.length bb.C.parts)
 
+(* The gadget's final round must branch: at budget 0 it exhausts and reads
+   uncertified, from budget 1 on it certifies. The parts do not move. This
+   catches both "always certify" and "never certify". *)
+let test_gap_certificate_follows_budget () =
+  let spec, members = H.strong_gap_instance () in
+  let strong budget =
+    C.split_subset ~config:{ C.default_config with C.branch_budget = budget }
+      C.Strong spec members
+  in
+  let at0 = strong 0 and at1 = strong 1 in
+  let default = C.split_subset C.Strong spec members in
+  check_bool "budget 0: uncertified" false at0.C.certified_strong;
+  check_bool "budget 1: certified" true at1.C.certified_strong;
+  check_bool "default budget: certified" true default.C.certified_strong;
+  check_bool "same parts at every budget" true
+    (at0.C.parts = default.C.parts && at1.C.parts = default.C.parts)
+
 let test_gap_search_consistent () =
   (* Gaps are rare on random instances: a short search usually returns None;
      when it does return one, the instance must be internally consistent. *)
@@ -652,6 +692,72 @@ let prop_strong_is_strongly_optimal =
       C.Oracle.valid_split spec members o.C.parts
       && C.Oracle.strongly_local_optimal spec o.C.parts = Some true)
 
+(* Certification by completeness. A strong split is certified when its
+   final closure round found no combinable parts without any seed running
+   out of [branch_budget]; the exhaustive oracle must then find no
+   combinable subset either. Each case runs every split at budgets 0, 1, 2
+   and 64 over a seeded unsound corpus of every generator family, the
+   Hardness gadgets and a random dense DAG of 10-24 tasks. At budget 0 the
+   gap gadget's final round exhausts, so some split of every case must read
+   uncertified there: otherwise the property could not tell "always
+   certify" apart. *)
+let completeness_splits seed =
+  let rng = Wolves_workload.Prng.create seed in
+  let draw = Wolves_workload.Prng.int rng in
+  let corpus =
+    List.concat_map
+      (fun (spec, view) ->
+        List.map
+          (fun (c, _) -> (spec, View.members view c))
+          (S.validate view).S.unsound)
+      (Views.unsound_corpus ~seed ~families:Gen.all_families
+         ~sizes:[ 20 + draw 30 ] ~per_cell:1)
+  in
+  let dense =
+    let n = 10 + draw 15 in
+    let density = 30 + draw 40 in
+    let name i = Printf.sprintf "t%d" i in
+    let edges =
+      List.concat_map
+        (fun u ->
+          List.filter_map
+            (fun v -> if draw 100 < density then Some (name u, name v) else None)
+            (List.init (n - u - 1) (fun d -> u + d + 1)))
+        (List.init n Fun.id)
+    in
+    let spec = Spec.of_tasks_exn ~name:"dense" (List.init n name) edges in
+    let k = 4 + draw (n - 5) in
+    ( spec,
+      List.sort compare
+        (List.filteri (fun i _ -> i < k)
+           (Wolves_workload.Prng.shuffle rng (Spec.tasks spec))) )
+  in
+  (H.strong_gap_instance () :: dense :: corpus)
+  @ [ H.blocks_instance ~blocks:(1 + draw 2) ~chains:(1 + draw 3);
+      H.wide_block_instance ~width:(2 + draw 4) ]
+
+let prop_certified_by_completeness =
+  QCheck2.Test.make
+    ~name:"certified by completeness => strongly local optimal" ~count:100
+    ~print:string_of_int
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let uncertified_at_0 = ref 0 in
+      let holds (spec, members) budget =
+        let config = { C.default_config with C.branch_budget = budget } in
+        let o = C.split_subset ~config C.Strong spec members in
+        if budget = 0 && not o.C.certified_strong then incr uncertified_at_0;
+        C.Oracle.valid_split spec members o.C.parts
+        &&
+        match C.Oracle.strongly_local_optimal ~max_parts:18 spec o.C.parts with
+        | Some false -> not o.C.certified_strong
+        | Some true | None -> true
+      in
+      List.for_all
+        (fun split -> List.for_all (holds split) [ 0; 1; 2; 64 ])
+        (completeness_splits seed)
+      && !uncertified_at_0 > 0)
+
 let prop_part_count_ordering =
   QCheck2.Test.make ~name:"optimal <= strong <= weak part counts" ~count:150
     gen_instance
@@ -720,7 +826,7 @@ let prop_subset_io_matches_definition =
 
 (* Limits whose 2^limit masks do not fit a non-negative 63-bit int used to
    overflow the mask loops ([1 lsl 63 = 0], [1 lsl 64 = 1]): they checked
-   no mask and still certified. Montage-64's natural view splits its
+   no mask and still answered. Montage-64's natural view splits its
    mDiffFit stage into 63 parts and its mProject stage into 64. *)
 let montage64 () =
   let module T = Wolves_workload.Templates in
@@ -736,24 +842,16 @@ let refused_naming field f =
     in
     has 0
 
-let test_certify_limit_overflow () =
-  let view = montage64 () in
-  check_bool "certify_limit = 64 refused" true
-    (refused_naming "certify_limit" (fun () ->
-         C.correct ~config:{ C.default_config with C.certify_limit = 64 }
-           C.Strong view));
-  (* The widest limit is accepted; splits wider than it stay uncertified. *)
-  let _, outcomes =
-    C.correct
-      ~config:{ C.default_config with C.certify_limit = S.Frame.max_parts }
-      C.Strong view
-  in
+(* The closure search certifies by completeness, whatever the part count:
+   no mask width bounds the certificate. *)
+let test_wide_splits_certify () =
+  let _, outcomes = C.correct C.Strong (montage64 ()) in
   let wide =
     List.filter (fun (_, o) -> List.length o.C.parts > S.Frame.max_parts) outcomes
   in
   check_int "63- and 64-part splits" 2 (List.length wide);
-  check_bool "neither is certified" true
-    (List.for_all (fun (_, o) -> not o.C.certified_strong) wide)
+  check_bool "both are certified" true
+    (List.for_all (fun (_, o) -> o.C.certified_strong) wide)
 
 let test_oracle_max_parts_overflow () =
   let view = montage64 () in
@@ -877,26 +975,10 @@ let prop_frame_matches_reference =
         @ List.init 20 (fun i -> random_subset (5 + (i * 5)))
         @ weak @ pairs
       in
-      (* The part-level kernel on a random partition into 2-10 parts. *)
-      let p = 2 + Wolves_workload.Prng.int rng 9 in
-      let sets = Array.init p (fun _ -> F.empty fr) in
-      for i = 0 to m - 1 do
-        F.union_into ~into:sets.(Wolves_workload.Prng.int rng p) (F.singleton fr i)
-      done;
-      let ps = F.parts fr sets in
-      let parts_agree mask =
-        let u = F.empty fr in
-        Array.iteri
-          (fun q set -> if mask land (1 lsl q) <> 0 then F.union_into ~into:u set)
-          sets;
-        F.parts_sound fr ps mask = S.subset_sound spec (tasks_of u)
-      in
       List.for_all agrees subsets
       && List.for_all
            (fun u -> outside_agrees u (Wolves_workload.Prng.int rng m))
-           subsets
-      && List.for_all parts_agree
-           (List.init 30 (fun _ -> 1 + Wolves_workload.Prng.int rng ((1 lsl p) - 1))))
+           subsets)
 
 (* ------------------------------------------------------------------ *)
 (* Outcome identity: every corrector outcome field over a fixed corpus  *)
@@ -944,7 +1026,6 @@ let render_tier buf (o : C.tier_outcome) =
    budget, not the wall clock, decides every tier. *)
 let render_corpus () =
   let buf = Buffer.create (1 lsl 16) in
-  let no_cert = { C.default_config with C.certify = false } in
   List.iter
     (fun (name, view) ->
       let spec = View.spec view in
@@ -963,7 +1044,6 @@ let render_corpus () =
                 Printf.bprintf buf " refused: %s\n" msg)
             [ ("weak", C.default_config, C.Weak);
               ("strong", C.default_config, C.Strong);
-              ("strong-nocert", no_cert, C.Strong);
               ("optimal", C.default_config, C.Optimal) ];
           let o, proven = C.split_subset_anytime ~node_budget:8 spec members in
           Printf.bprintf buf "  anytime proven=%b" proven;
@@ -996,7 +1076,7 @@ let render_corpus () =
 (* On a mismatch the rendered text goes to the test log, to be diffed
    against the same text from the previous implementation. *)
 let test_outcome_identity () =
-  let expected = "d8b11ee4e753bcc3d38a636274fc3960" in
+  let expected = "674eb07013c4f3fdb24fa135ebb42817" in
   let text = render_corpus () in
   let digest = Digest.to_hex (Digest.string text) in
   if digest <> expected then print_string text;
@@ -1022,10 +1102,13 @@ let () =
             test_classify_lane_counts;
           Alcotest.test_case "minimal unsound core" `Quick
             test_minimal_unsound_core;
+          Alcotest.test_case "unsound view graphs can cycle" `Quick
+            test_unsound_view_graph_can_cycle;
           qt prop_subset_io_matches_definition;
           qt prop_frame_matches_reference;
           qt prop_minimal_core_is_minimal;
-          qt prop_sound_view_preserves_paths ] );
+          qt prop_sound_view_preserves_paths;
+          qt prop_sound_views_acyclic ] );
       ( "corrector",
         [ Alcotest.test_case "figure 3: weak 8, strong 5, optimal 5" `Quick
             test_fig3_counts;
@@ -1045,14 +1128,15 @@ let () =
             test_deadline_spent_precharge;
           Alcotest.test_case "outcome identity over the template corpus" `Slow
             test_outcome_identity;
-          Alcotest.test_case "certify_limit past the mask width" `Quick
-            test_certify_limit_overflow;
+          Alcotest.test_case "wide splits certify by completeness" `Quick
+            test_wide_splits_certify;
           Alcotest.test_case "oracle max_parts past the mask width" `Quick
             test_oracle_max_parts_overflow;
           Alcotest.test_case "optimal_max_tasks past the mask width" `Quick
             test_optimal_max_tasks_overflow;
           qt prop_weak_is_weakly_optimal;
           qt prop_strong_is_strongly_optimal;
+          qt prop_certified_by_completeness;
           qt prop_part_count_ordering;
           qt prop_corrected_views_sound ] );
       ( "merge-resolve",
@@ -1064,7 +1148,9 @@ let () =
           Alcotest.test_case "argument validation" `Quick test_blocks_args;
           Alcotest.test_case "strong vs optimal gap gadget" `Quick
             test_strong_gap_instance;
-          Alcotest.test_case "random gap search" `Quick test_gap_search_consistent ] );
+          Alcotest.test_case "random gap search" `Quick test_gap_search_consistent;
+          Alcotest.test_case "gap gadget certificate follows the budget" `Quick
+            test_gap_certificate_follows_budget ] );
       ( "interface",
         [ Alcotest.test_case "figure 1 catalog" `Quick test_interface_fig1 ] );
       ( "quality+estimator",

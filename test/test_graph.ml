@@ -6,7 +6,6 @@ module Digraph = Wolves_graph.Digraph
 module Algo = Wolves_graph.Algo
 module Reach = Wolves_graph.Reach
 module Dot = Wolves_graph.Dot
-module Paths = Wolves_graph.Paths
 module Dominators = Wolves_graph.Dominators
 module Spec = Wolves_workflow.Spec
 
@@ -612,66 +611,6 @@ let test_dot_escape () =
 
 
 (* ------------------------------------------------------------------ *)
-(* Paths                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_count_paths () =
-  let g = diamond () in
-  Alcotest.(check (float 0.0)) "two paths through the diamond" 2.0
-    (Paths.count_paths g 0 3);
-  Alcotest.(check (float 0.0)) "empty path" 1.0 (Paths.count_paths g 1 1);
-  Alcotest.(check (float 0.0)) "no path" 0.0 (Paths.count_paths g 3 0);
-  (* diamond: 0->1,0->2,1->3,2->3: paths 0-1,0-2,1-3,2-3,0-1-3,0-2-3 = 6 *)
-  Alcotest.(check (float 0.0)) "total paths" 6.0 (Paths.total_paths g)
-
-let test_count_paths_exponential () =
-  (* k stacked diamonds: 2^k source-to-sink paths. *)
-  let k = 30 in
-  let g = Digraph.create () in
-  Digraph.add_nodes g ((3 * k) + 1);
-  for i = 0 to k - 1 do
-    let base = 3 * i in
-    Digraph.add_edge g base (base + 1);
-    Digraph.add_edge g base (base + 2);
-    Digraph.add_edge g (base + 1) (base + 3);
-    Digraph.add_edge g (base + 2) (base + 3)
-  done;
-  Alcotest.(check (float 0.0)) "2^k paths" (Float.pow 2.0 (float_of_int k))
-    (Paths.count_paths g 0 (3 * k))
-
-let test_count_paths_cycle () =
-  let g = Digraph.of_edges ~n:2 [ (0, 1); (1, 0) ] in
-  Alcotest.check_raises "cycle rejected"
-    (Invalid_argument "Paths.count_paths: graph has a cycle") (fun () ->
-      ignore (Paths.count_paths g 0 1))
-
-let test_transitive_reduction () =
-  (* chain 0->1->2 plus shortcut 0->2: the shortcut goes away. *)
-  let g = Digraph.of_edges ~n:3 [ (0, 1); (1, 2); (0, 2) ] in
-  let red = Paths.transitive_reduction g in
-  check_int "one edge dropped" 2 (Digraph.n_edges red);
-  check_bool "shortcut removed" false (Digraph.mem_edge red 0 2);
-  check_bool "now reduced" true (Paths.is_transitively_reduced red);
-  check_bool "original not reduced" false (Paths.is_transitively_reduced g)
-
-let prop_reduction_preserves_reachability =
-  QCheck2.Test.make ~name:"transitive reduction preserves reachability"
-    ~count:100 random_dag_gen
-    (fun (n, edges) ->
-      let g = Digraph.of_edges ~n edges in
-      let red = Paths.transitive_reduction g in
-      let r = Reach.compute g and r' = Reach.compute red in
-      Digraph.n_edges red <= Digraph.n_edges g
-      && Paths.is_transitively_reduced red
-      && List.for_all
-           (fun u ->
-             List.for_all
-               (fun v -> Reach.reaches r u v = Reach.reaches r' u v)
-               (List.init n Fun.id))
-           (List.init n Fun.id))
-
-
-(* ------------------------------------------------------------------ *)
 (* Dominators                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -873,14 +812,6 @@ let () =
             test_reach_domain_safe;
           qt ancestors_agree;
           qt reach_agrees_with_bfs ] );
-      ( "paths",
-        [ Alcotest.test_case "diamond counts" `Quick test_count_paths;
-          Alcotest.test_case "exponential growth" `Quick
-            test_count_paths_exponential;
-          Alcotest.test_case "cycles rejected" `Quick test_count_paths_cycle;
-          Alcotest.test_case "transitive reduction" `Quick
-            test_transitive_reduction;
-          qt prop_reduction_preserves_reachability ] );
       ( "dominators",
         [ Alcotest.test_case "diamond" `Quick test_dominators_diamond;
           Alcotest.test_case "multiple sources" `Quick test_dominators_multi_source;

@@ -1,13 +1,12 @@
 (* End-to-end integration scenarios stitching the whole system together:
-   formats <-> model <-> session <-> correctors <-> hierarchy <-> engine <->
-   store <-> queries. Each test is a realistic user journey. *)
+   formats <-> model <-> session <-> correctors <-> engine <-> store <->
+   queries. Each test is a realistic user journey. *)
 
 open Wolves_workflow
 module T = Wolves_workload.Templates
 module S = Wolves_core.Soundness
 module C = Wolves_core.Corrector
 module Session = Wolves_core.Session
-module Hr = Wolves_core.Hierarchy
 module Suggest = Wolves_core.Suggest
 module P = Wolves_provenance.Provenance
 module Store = Wolves_provenance.Store
@@ -166,33 +165,6 @@ let test_repository_evolution_journey () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
-(* Journey 4: multi-level abstraction over a corrected realistic workflow. *)
-let test_hierarchy_journey () =
-  let spec = T.generate T.Ligo ~scale:6 in
-  let v0, _ = C.correct C.Strong (T.natural_view T.Ligo spec) in
-  let vspec = Hr.spec_of_view v0 in
-  (* Coarsen soundly with the automatic constructor over the view graph. *)
-  let super =
-    Suggest.view_of_groups vspec (Suggest.greedy_sound_groups vspec ~max_size:4)
-  in
-  let groups =
-    List.map
-      (fun c ->
-        ( "L2-" ^ string_of_int c,
-          List.map (Spec.task_name vspec) (View.members super c) ))
-      (View.composites super)
-  in
-  match Hr.coarsen (Hr.base v0) groups with
-  | Error msg -> Alcotest.fail msg
-  | Ok h ->
-    check_bool "both levels locally sound" true (Hr.sound h);
-    let flat = Hr.flatten h in
-    check_bool "flattened sound (composition theorem)" true (S.is_sound flat);
-    check_bool "real compression" true
-      (View.compression flat > View.compression v0);
-    (* Provenance at the coarsest level is still exact. *)
-    check_int "exact at the top level" 0 (P.evaluate_view_items flat).P.spurious
-
 let () =
   Alcotest.run "wolves_integration"
     [ ( "journeys",
@@ -201,6 +173,4 @@ let () =
           Alcotest.test_case "operations (engine + store + csv)" `Quick
             test_operations_journey;
           Alcotest.test_case "repository evolution" `Quick
-            test_repository_evolution_journey;
-          Alcotest.test_case "multi-level abstraction" `Quick
-            test_hierarchy_journey ] ) ]
+            test_repository_evolution_journey ] ) ]

@@ -4,7 +4,6 @@
 
 open Wolves_workflow
 module P = Wolves_provenance.Provenance
-module Opm = Wolves_provenance.Opm
 module Store = Wolves_provenance.Store
 module S = Wolves_core.Soundness
 module C = Wolves_core.Corrector
@@ -160,53 +159,6 @@ let prop_missing_always_zero =
       let spec = Gen.generate family ~seed ~size in
       let view = Views.build ~seed (Views.Random_partition k) spec in
       (P.evaluate_view view).P.missing = 0)
-
-(* ------------------------------------------------------------------ *)
-(* OPM expansion                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_opm () =
-  let spec, _ = fig1 () in
-  let opm = Opm.of_spec spec in
-  check_int "processes" 12 (Opm.n_processes opm);
-  check_int "artifacts" 12 (Opm.n_artifacts opm);
-  let g = Opm.graph opm in
-  check_int "nodes" 24 (Wolves_graph.Digraph.n_nodes g);
-  (* process -> artifact -> process chains: 2 edges per artifact *)
-  check_int "edges" 24 (Wolves_graph.Digraph.n_edges g);
-  let up =
-    Opm.provenance_of_artifact opm
-      (item spec "7:Create Alignment" "8:Format Alignment")
-  in
-  let processes =
-    List.filter_map
-      (function Opm.Process t -> Some (Spec.task_name spec t) | Opm.Artifact _ -> None)
-      up
-  in
-  Alcotest.(check (list string)) "upstream processes"
-    [ "1:Select Entries"; "2:Split Entries"; "6:Extract Sequences";
-      "7:Create Alignment" ]
-    (List.sort compare processes);
-  let dot = Opm.to_dot spec opm in
-  check_bool "dot mentions artifacts" true
-    (String.length dot > 0
-     &&
-     let needle = "ellipse" in
-     let ln = String.length needle and lh = String.length dot in
-     let rec go i = i + ln <= lh && (String.sub dot i ln = needle || go (i + 1)) in
-     go 0)
-
-let test_opm_label_and_errors () =
-  let spec, _ = fig1 () in
-  let opm = Opm.of_spec spec in
-  (match Opm.node_of_id opm 0 with
-   | Opm.Process t ->
-     Alcotest.(check string) "label" "1:Select Entries" (Opm.label spec (Opm.Process t))
-   | Opm.Artifact _ -> Alcotest.fail "id 0 is a process");
-  Alcotest.check_raises "node range"
-    (Invalid_argument "Opm.node_of_id: 99 out of range") (fun () ->
-      ignore (Opm.node_of_id opm 99))
-
 
 (* ------------------------------------------------------------------ *)
 (* Provenance store (multi-run)                                        *)
@@ -378,7 +330,4 @@ let () =
           Alcotest.test_case "cross-run queries" `Quick
             test_store_cross_run_queries;
           Alcotest.test_case "csv round trip" `Quick test_store_csv_roundtrip;
-          qt prop_store_provenance_subset_of_static ] );
-      ( "opm",
-        [ Alcotest.test_case "expansion and queries" `Quick test_opm;
-          Alcotest.test_case "labels and errors" `Quick test_opm_label_and_errors ] ) ]
+          qt prop_store_provenance_subset_of_static ] ) ]
