@@ -166,7 +166,7 @@ let validation_json view report =
       ( "unsound",
         Json.List
           (List.map
-             (fun (c, witnesses) ->
+             (fun (c, _) ->
                Json.Obj
                  [ ("composite", Json.String (View.composite_name view c));
                    ( "members",
@@ -181,7 +181,7 @@ let validation_json view report =
                             Json.Obj
                               [ ("from", Json.String (Spec.task_name spec ti));
                                 ("to", Json.String (Spec.task_name spec to_)) ])
-                          witnesses) ) ])
+                          (S.composite_witnesses view c)) ) ])
              report.S.unsound) ) ]
 
 (* --- show --- *)
@@ -848,7 +848,7 @@ let diagnose_cmd =
           (fun (c, witnesses) ->
             Printf.printf "composite %S is unsound (%d violating pairs)\n"
               (View.composite_name view c)
-              (List.length witnesses);
+              witnesses;
             let members = View.members view c in
             let set =
               Wolves_graph.Bitset.of_list (Spec.n_tasks spec) members
@@ -929,7 +929,7 @@ let report_cmd =
         List.iter
           (fun (c, witnesses) ->
             add "- `%s`: %d missing paths" (View.composite_name view c)
-              (List.length witnesses);
+              witnesses;
             let members = View.members view c in
             let set = Wolves_graph.Bitset.of_list (Spec.n_tasks spec) members in
             (match S.minimal_unsound_core spec set with

@@ -36,12 +36,11 @@ let view_summary ?(color = false) view =
       let members =
         String.concat ", " (List.map (Spec.task_name spec) (View.members view c))
       in
-      match List.assoc_opt c report.S.unsound with
-      | None ->
+      if not (List.mem_assoc c report.S.unsound) then
         Buffer.add_string buf
           (Printf.sprintf "  %s %s = {%s}\n" (green color "[sound]  ")
              (View.composite_name view c) members)
-      | Some witnesses ->
+      else begin
         Buffer.add_string buf
           (Printf.sprintf "  %s %s = {%s}\n" (red color "[UNSOUND]")
              (View.composite_name view c) members);
@@ -50,7 +49,8 @@ let view_summary ?(color = false) view =
             Buffer.add_string buf
               (Printf.sprintf "      no path %s -> %s\n" (Spec.task_name spec ti)
                  (Spec.task_name spec to_)))
-          witnesses)
+          (S.composite_witnesses view c)
+      end)
     (View.composites view);
   Buffer.contents buf
 

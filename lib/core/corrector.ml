@@ -70,8 +70,8 @@ let check_config config =
 
 (* Shared mutable state of one correction run: the specification and two
    counters. [checks] counts subset-soundness evaluations (Def 2.3), once
-   each however they are decided — on the split's member frame or by
-   [Soundness.subset_sound] — the unit the paper's complexity claims are
+   each, whether on the split's member frame or on a frame of their own
+   ([Soundness.subset_sound]) — the unit the paper's complexity claims are
    phrased in. [probes] counts the cheaper auxiliary evaluations (the
    anytime search's partial pruning probes, the optimal DP's bit-parallel
    mask evaluations) that must NOT inflate the paper-comparable metric. *)
@@ -718,37 +718,26 @@ let split_composite ?(config = default_config) criterion view c =
 
 let correct ?(config = default_config) ?domains criterion view =
   check_config config;
-  let domains =
-    match domains with Some d -> d | None -> Par.default_domains ()
-  in
   Obs.with_span "corrector.correct"
     ~args:(fun () ->
       [ ("workflow", Spec.name (View.spec view));
         ("criterion", criterion_name criterion) ])
   @@ fun () ->
   let spec = View.spec view in
-  let report = Soundness.validate ~domains view in
+  let report = Soundness.validate ?domains view in
   let split c =
     Obs.with_span "corrector.composite"
       ~args:(fun () -> [ ("composite", View.composite_name view c) ])
     @@ fun () ->
     split_subset ~config criterion spec (View.members view c)
   in
-  let unsound = Array.of_list report.Soundness.unsound in
+  (* Each unsound composite is corrected independently from the spec and
+     its closure (forced by [validate], read-only), so the splits farm
+     across the pool, recording straight into the atomic registry. The view
+     is only rebuilt afterwards, on this domain. *)
+  let unsound = Array.of_list (List.map fst report.Soundness.unsound) in
   let outcomes =
-    if domains <= 1 || Array.length unsound < 2 then
-      List.map (fun (c, _) -> (c, split c)) report.Soundness.unsound
-    else begin
-      (* Each unsound composite is corrected independently from the spec
-         and its (already forced, read-only) closure, so the splits farm
-         across the pool, recording straight into the atomic registry. The
-         view is only rebuilt afterwards, on this domain. *)
-      ignore (Spec.reach spec);
-      let results =
-        Par.map_ordered ~domains (fun (c, _) -> split c) unsound
-      in
-      List.mapi (fun i (c, _) -> (c, results.(i))) report.Soundness.unsound
-    end
+    Array.to_list (Array.combine unsound (Par.map_ordered ?domains split unsound))
   in
   let replacements = List.map (fun (c, o) -> (c, o.parts)) outcomes in
   (rebuild_view view replacements, outcomes)
@@ -914,62 +903,3 @@ let resolve_auto ?(config = default_config) view =
           ({ composite = name; action = `Merge absorbed } :: decisions)
   in
   go view []
-
-(* ------------------------------------------------------------------ *)
-(* Oracles                                                              *)
-(* ------------------------------------------------------------------ *)
-
-module Oracle = struct
-  let valid_split spec members parts =
-    let members = List.sort compare members in
-    let flat = List.sort compare (List.concat parts) in
-    members = flat
-    && List.for_all (fun p -> p <> []) parts
-    && List.for_all
-         (fun p -> Soundness.subset_sound spec (Bitset.of_list (Spec.n_tasks spec) p))
-         parts
-
-  let weakly_local_optimal spec parts =
-    let arr = Array.of_list parts in
-    let p = Array.length arr in
-    let combinable_pair i j =
-      let set = Bitset.of_list (Spec.n_tasks spec) arr.(i) in
-      List.iter (Bitset.add set) arr.(j);
-      Soundness.subset_sound spec set
-    in
-    let ok = ref true in
-    for i = 0 to p - 1 do
-      for j = i + 1 to p - 1 do
-        if combinable_pair i j then ok := false
-      done
-    done;
-    !ok
-
-  let strongly_local_optimal ?(max_parts = 20) spec parts =
-    if max_parts > Frame.max_parts then
-      invalid_arg
-        (Printf.sprintf
-           "Corrector.Oracle.strongly_local_optimal: max_parts = %d exceeds \
-            %d (its 2^%d masks must fit a non-negative int)"
-           max_parts Frame.max_parts max_parts);
-    let arr = Array.of_list parts in
-    let p = Array.length arr in
-    if p > max_parts then None
-    else begin
-      let n = Spec.n_tasks spec in
-      let ok = ref true in
-      for mask = 3 to (1 lsl p) - 1 do
-        if !ok then begin
-          let indices =
-            List.filter (fun k -> mask land (1 lsl k) <> 0) (List.init p Fun.id)
-          in
-          if List.length indices >= 2 then begin
-            let u = Bitset.create n in
-            List.iter (fun k -> List.iter (Bitset.add u) arr.(k)) indices;
-            if Soundness.subset_sound spec u then ok := false
-          end
-        end
-      done;
-      Some !ok
-    end
-end

@@ -22,7 +22,11 @@
     Each split builds one {!Soundness.Frame} over the composite's members
     and decides every subset of them on it, with word operations and no
     allocation. Only the anytime branch-and-bound's final checks go through
-    {!Soundness.subset_sound}. *)
+    {!Soundness.subset_sound}, which builds a frame per part.
+
+    The exponential reference checks of Defs 2.5–2.6 (valid split, weak
+    and strong local optimality by enumeration) live with the tests, on
+    an independent list-based Def 2.3 check, not here. *)
 
 open Wolves_workflow
 
@@ -43,9 +47,8 @@ type outcome = {
           increasing. A sound input composite yields a single part. *)
   checks : int;
       (** Subset-soundness evaluations (Def 2.3) performed, counted once
-          each however they are decided — on the split's
-          {!Soundness.Frame} or by {!Soundness.subset_sound} /
-          {!Soundness.subset_witnesses}: the unit of the paper's complexity
+          each, whether on the split's {!Soundness.Frame} or through
+          {!Soundness.subset_sound}: the unit of the paper's complexity
           claims and the dominant cost. Cheaper auxiliary evaluations are
           counted under {!field-probes} and never inflate this number. *)
   probes : int;
@@ -232,21 +235,3 @@ val resolve_auto :
     creates and merging costs the tasks it hides inside the bigger
     composite. Ties prefer splitting (information-preserving). The result is
     sound; decisions are reported in application order. *)
-
-(** Test oracles: direct (exponential where necessary) checks of the
-    optimality definitions, used by the test-suite and the quality
-    benchmarks. *)
-module Oracle : sig
-  val valid_split : Spec.t -> Spec.task list -> Spec.task list list -> bool
-  (** Is this a partition of the members into sound parts? *)
-
-  val weakly_local_optimal : Spec.t -> Spec.task list list -> bool
-  (** Def 2.5: no two parts combinable. O(p²) soundness checks. *)
-
-  val strongly_local_optimal :
-    ?max_parts:int -> Spec.t -> Spec.task list list -> bool option
-  (** Def 2.6: no subset of ≥ 2 parts combinable. Enumerates the 2^p subsets;
-      [None] when [p > max_parts] (default 20).
-      @raise Invalid_argument when [max_parts] exceeds
-      {!Soundness.Frame.max_parts}. *)
-end

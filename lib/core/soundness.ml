@@ -5,11 +5,13 @@ module Reach = Wolves_graph.Reach
 module Obs = Wolves_obs.Metrics
 module Par = Wolves_par.Par
 
-(* One branch each while metrics are disabled; [subset_sound] and
-   [subset_witnesses] are the hot primitives every layer above funnels
-   into. *)
+(* One branch each while metrics are disabled. Every Def 2.3 decision is a
+   frame evaluation: [subset_checks] counts verdicts, [witness_scans] the
+   evaluations that look for violating pairs, [frames] the frame builds
+   they run on. *)
 let m_subset_checks = Obs.counter "soundness.subset_checks"
 let m_witness_scans = Obs.counter "soundness.witness_scans"
+let m_frames = Obs.counter "soundness.frames"
 let t_validate = Obs.timer "soundness.validate"
 
 type io = {
@@ -29,25 +31,6 @@ let subset_io spec set =
         outputs := t :: !outputs)
     (List.rev (Bitset.elements set));
   { inputs = !inputs; outputs = !outputs }
-
-let subset_sound spec set =
-  Obs.incr m_subset_checks;
-  let r = Spec.reach spec in
-  let { inputs; outputs } = subset_io spec set in
-  List.for_all
-    (fun ti -> List.for_all (fun to_ -> Reach.reaches r ti to_) outputs)
-    inputs
-
-let subset_witnesses spec set =
-  Obs.incr m_witness_scans;
-  let r = Spec.reach spec in
-  let { inputs; outputs } = subset_io spec set in
-  List.concat_map
-    (fun ti ->
-      List.filter_map
-        (fun to_ -> if Reach.reaches r ti to_ then None else Some (ti, to_))
-        outputs)
-    inputs
 
 module Frame = struct
   let bits = Bitset.bits_per_word
@@ -72,8 +55,10 @@ module Frame = struct
     let w = off + (i / bits) in
     row.(w) <- row.(w) lor (1 lsl (i mod bits))
 
-  (* Position of task [t] in the increasing [tasks], or -1. *)
-  let index tasks t =
+  (* Position of task [t] in the increasing [tasks], or -1. The annotation
+     makes the comparisons integer ones: polymorphic compare made this
+     search most of a small frame's build. *)
+  let index (tasks : Spec.task array) t =
     let rec go lo hi =
       if lo >= hi then -1
       else
@@ -92,6 +77,7 @@ module Frame = struct
           invalid_arg
             "Soundness.Frame.make: members must be increasing tasks of the spec")
       tasks;
+    Obs.incr m_frames;
     let m = Array.length tasks in
     let words = (m + bits - 1) / bits in
     let g = Spec.graph spec in
@@ -111,6 +97,8 @@ module Frame = struct
       outs = Array.make words 0 }
 
   let size fr = Array.length fr.tasks
+
+  let task fr i = fr.tasks.(i)
 
   let empty fr = Array.make fr.words 0
 
@@ -157,6 +145,8 @@ module Frame = struct
 
   let has ext i = ext.(i / bits) land (1 lsl (i mod bits)) <> 0
 
+  let flip s i = s.(i / bits) <- s.(i / bits) lxor (1 lsl (i mod bits))
+
   (* Does member [i] have a neighbour in [rows] (its predecessors or its
      successors) outside [u]: one outside the frame ([ext]), or a member
      missing from [u]? *)
@@ -169,13 +159,12 @@ module Frame = struct
     in
     go 0
 
+  (* Word [k] of the members of the [outs] row that member [i] misses. *)
+  let missed fr i k = fr.outs.(k) land lnot fr.reach.((i * fr.words) + k)
+
   (* Does member [i] reach every member of the [outs] row? *)
   let reaches_outs fr i =
-    let off = i * fr.words in
-    let rec go k =
-      k >= fr.words
-      || (fr.outs.(k) land lnot fr.reach.(off + k) = 0 && go (k + 1))
-    in
+    let rec go k = k >= fr.words || (missed fr i k = 0 && go (k + 1)) in
     go 0
 
   (* The first member of the [ins] row (in member order) that misses some
@@ -219,14 +208,76 @@ module Frame = struct
     let x = first_bad_input fr in
     if x < 0 then None
     else begin
-      let off = x * fr.words in
-      let rec missed k =
-        let miss = fr.outs.(k) land lnot fr.reach.(off + k) in
+      let rec first k =
+        let miss = missed fr x k in
         if miss <> 0 then (k * bits) + Bitset.lowest_bit miss
-        else missed (k + 1)
+        else first (k + 1)
       in
-      Some (x, missed 0)
+      Some (x, first 0)
     end
+
+  let witness_count fr u =
+    Obs.incr m_witness_scans;
+    load_io fr u;
+    fold
+      (fun x count ->
+        let count = ref count in
+        for k = 0 to fr.words - 1 do
+          count := !count + Bitset.popcount (missed fr x k)
+        done;
+        !count)
+      fr.ins 0
+
+  let witnesses fr u =
+    Obs.incr m_witness_scans;
+    load_io fr u;
+    List.rev
+      (fold
+         (fun x acc ->
+           fold (fun y acc -> (x, y) :: acc) (Array.init fr.words (missed fr x)) acc)
+         fr.ins [])
+
+  let minimal_core fr u =
+    if sound fr u then None
+    else begin
+      (* Drop members while the remainder stays unsound, repeating until a
+         full pass removes nothing (soundness is not monotone under subsets,
+         so one pass does not suffice for minimality). *)
+      let core = Array.copy u in
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        iter
+          (fun i ->
+            flip core i;
+            if sound fr core then flip core i else changed := true)
+          (Array.copy core)
+      done;
+      Some core
+    end
+
+  (* Two members share a lane when one reaches the other (possibly through
+     tasks outside the frame): union-find over the members' reach rows. *)
+  let lanes fr u =
+    let parent = Array.init (size fr) Fun.id in
+    let rec find i =
+      let p = parent.(i) in
+      if p = i then i
+      else begin
+        parent.(i) <- parent.(p);
+        find parent.(i)
+      end
+    in
+    iter
+      (fun i ->
+        let row = Array.init fr.words (fun k -> fr.reach.((i * fr.words) + k) land u.(k)) in
+        iter
+          (fun j ->
+            let ri = find i and rj = find j in
+            if ri <> rj then parent.(ri) <- rj)
+          row)
+      u;
+    fold (fun i n -> if find i = i then n + 1 else n) u 0
 
   let outside fr ext rows x u =
     if has ext x then None
@@ -247,109 +298,82 @@ let pp_unsoundness_kind ppf = function
   | Parallel_lanes k -> Format.fprintf ppf "parallel lanes (%d groups)" k
   | Entangled -> Format.fprintf ppf "entangled (crossing structure)"
 
+let kind_of_lanes lanes =
+  if lanes >= 2 then Parallel_lanes lanes else Entangled
+
+let frame_of spec set = Frame.make spec (Bitset.elements set)
+
+let subset_sound spec set =
+  let fr = frame_of spec set in
+  Frame.sound fr (Frame.full fr)
+
+let tasks_of_pairs fr pairs =
+  List.map (fun (x, y) -> (Frame.task fr x, Frame.task fr y)) pairs
+
+let subset_witnesses spec set =
+  let fr = frame_of spec set in
+  tasks_of_pairs fr (Frame.witnesses fr (Frame.full fr))
+
 let classify_unsound spec set =
-  if subset_sound spec set then None
-  else begin
-    (* Union the members into lanes: two members share a lane when one
-       reaches the other (possibly through tasks outside the set). *)
-    let members = Array.of_list (Bitset.elements set) in
-    let n = Array.length members in
-    let r = Spec.reach spec in
-    let parent = Array.init n Fun.id in
-    let rec find i = if parent.(i) = i then i else find parent.(i) in
-    let union i j =
-      let ri = find i and rj = find j in
-      if ri <> rj then parent.(ri) <- rj
-    in
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        if
-          Reach.reaches r members.(i) members.(j)
-          || Reach.reaches r members.(j) members.(i)
-        then union i j
-      done
-    done;
-    let roots = Hashtbl.create 8 in
-    for i = 0 to n - 1 do
-      Hashtbl.replace roots (find i) ()
-    done;
-    let lanes = Hashtbl.length roots in
-    Some (if lanes >= 2 then Parallel_lanes lanes else Entangled)
-  end
+  let fr = frame_of spec set in
+  let all = Frame.full fr in
+  if Frame.sound fr all then None else Some (kind_of_lanes (Frame.lanes fr all))
 
 let minimal_unsound_core spec set =
-  if subset_sound spec set then None
-  else begin
-    (* Drop members while the remainder stays unsound, repeating until a
-       full pass removes nothing (soundness is not monotone under subsets,
-       so one pass does not suffice for minimality). *)
-    let core = Bitset.copy set in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      List.iter
-        (fun t ->
-          Bitset.remove core t;
-          if subset_sound spec core then Bitset.add core t else changed := true)
-        (Bitset.elements core)
-    done;
-    Some core
-  end
+  let fr = frame_of spec set in
+  Option.map
+    (fun core -> Bitset.of_list (Bitset.capacity set) (Frame.tasks fr core))
+    (Frame.minimal_core fr (Frame.full fr))
 
-let member_set view c =
-  let set = Bitset.create (Spec.n_tasks (View.spec view)) in
-  List.iter (Bitset.add set) (View.members view c);
-  set
+let composite_frame view c = Frame.make (View.spec view) (View.members view c)
 
-let composite_io view c = subset_io (View.spec view) (member_set view c)
+let composite_io view c =
+  let spec = View.spec view in
+  subset_io spec (Bitset.of_list (Spec.n_tasks spec) (View.members view c))
 
-let composite_sound view c = subset_sound (View.spec view) (member_set view c)
+let composite_sound view c =
+  let fr = composite_frame view c in
+  Frame.sound fr (Frame.full fr)
 
 let composite_witnesses view c =
-  subset_witnesses (View.spec view) (member_set view c)
+  let fr = composite_frame view c in
+  tasks_of_pairs fr (Frame.witnesses fr (Frame.full fr))
 
 type report = {
   view : View.t;
-  unsound : (View.composite * (Spec.task * Spec.task) list) list;
+  unsound : (View.composite * int) list;
 }
 
+(* A singleton is sound (reachability is reflexive): it counts its scan
+   without a frame. *)
+let witness_count view c =
+  match View.members view c with
+  | [ _ ] ->
+    Obs.incr m_witness_scans;
+    0
+  | _ ->
+    let fr = composite_frame view c in
+    Frame.witness_count fr (Frame.full fr)
+
 let validate ?domains view =
-  let domains =
-    match domains with Some d -> d | None -> Par.default_domains ()
-  in
   Obs.time t_validate
     ~args:(fun () ->
       [ ("workflow", Spec.name (View.spec view));
         ("composites", string_of_int (View.n_composites view)) ])
   @@ fun () ->
+  (* The spec's closure is a lazy cache that workers must not race to
+     build: force it here, before the composites are farmed out (and
+     [Corrector.correct], which farms the splits after validating, relies
+     on it). Each count only reads the spec and its closure, and records
+     into the atomic metrics registry; [map_ordered] keeps the report in
+     composite order. *)
+  ignore (Spec.reach (View.spec view));
   let composites = Array.of_list (View.composites view) in
-  let unsound =
-    if domains <= 1 || Array.length composites < 2 then
-      List.filter_map
-        (fun c ->
-          match composite_witnesses view c with
-          | [] -> None
-          | witnesses -> Some (c, witnesses))
-        (View.composites view)
-    else begin
-      (* Composites are independent: each check only reads the spec and its
-         reachability index, and records into the atomic metrics registry.
-         Force the spec's lazy closure before farming so workers never race
-         on its initialisation. [map_ordered] keeps the report in composite
-         order. *)
-      ignore (Spec.reach (View.spec view));
-      let results =
-        Par.map_ordered ~domains (composite_witnesses view) composites
-      in
-      List.filter_map
-        (fun i ->
-          match results.(i) with
-          | [] -> None
-          | witnesses -> Some (composites.(i), witnesses))
-        (List.init (Array.length composites) Fun.id)
-    end
-  in
-  { view; unsound }
+  let counts = Par.map_ordered ?domains (witness_count view) composites in
+  { view;
+    unsound =
+      List.filter (fun (_, k) -> k > 0)
+        (Array.to_list (Array.combine composites counts)) }
 
 let is_sound view = (validate view).unsound = []
 
@@ -364,13 +388,13 @@ let pp_report ppf { view; unsound } =
     Format.fprintf ppf "view of %S is UNSOUND: %d of %d composites unsound"
       (Spec.name spec) (List.length unsound) (View.n_composites view);
     List.iter
-      (fun (c, witnesses) ->
+      (fun (c, _) ->
         Format.fprintf ppf "@\n  composite %S:" (View.composite_name view c);
         List.iter
           (fun (ti, to_) ->
             Format.fprintf ppf "@\n    no path %S -> %S" (Spec.task_name spec ti)
               (Spec.task_name spec to_))
-          witnesses)
+          (composite_witnesses view c))
       unsound
 
 let preserves_paths view =

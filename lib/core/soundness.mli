@@ -6,6 +6,9 @@
     workflow specification. Reachability is reflexive and may pass through
     tasks outside T.
 
+    Every Def 2.3 decision in this module, and in the correctors and the
+    linter built on it, runs on one kernel: a {!Frame} over the member set.
+
     The literal Definition 2.1 ("a path between composites exists in the view
     iff a member-level witness path exists") is provided separately as
     {!preserves_paths}; "all composites sound" implies it, but not conversely
@@ -24,16 +27,6 @@ val subset_io : Spec.t -> Wolves_graph.Bitset.t -> io
 (** [T.in]/[T.out] of an arbitrary task subset (Def 2.2), capacity =
     [Spec.n_tasks]. *)
 
-val subset_sound : Spec.t -> Wolves_graph.Bitset.t -> bool
-(** Is the subset sound as a composite task (Def 2.3)? Singletons and the
-    full task set are always sound. Probes the spec's closure
-    ([Spec.reach]). *)
-
-val subset_witnesses :
-  Spec.t -> Wolves_graph.Bitset.t -> (Spec.task * Spec.task) list
-(** The violating pairs: [(ti, to)] with [ti ∈ in], [to ∈ out] and no path
-    [ti ⇝ to]. Empty iff the subset is sound. *)
-
 (** {1 Member frames}
 
     A member frame decides Def 2.3 for many subsets of one task set M
@@ -46,18 +39,18 @@ val subset_witnesses :
     and U is sound iff every input's reach row covers out(U): O(|U|·words)
     word operations per check, with no allocation.
 
-    Use a frame when one member set is checked many times: the correctors'
-    splits make up to hundreds of thousands of checks on subsets of one
-    composite. Building it costs O(m²) word probes (one gather per member
-    row) plus O(deg·log m) per member, so for a few checks {!subset_sound}
-    is cheaper: {!validate}, {!minimal_unsound_core} (which converges in a
-    few checks), the lint rules and the corrector oracles stay on it, and it
-    stays the reference the frame is tested against.
+    The frame is the only Def 2.3 kernel: a single check builds one (O(m²)
+    word probes, one gather per member row, plus O(deg·log m) per member),
+    and a caller that checks one member set many times reuses it — the
+    correctors' splits make up to hundreds of thousands of checks on
+    subsets of one composite, and a minimal core shrinks on one frame.
 
-    Every evaluation counts exactly as the call it replaces:
-    {!Frame.sound} as one {!subset_sound}, {!Frame.first_witness} as one
-    {!subset_witnesses}. A frame owns two scratch rows, so it belongs to one
-    call on one domain. *)
+    Each evaluation is counted in the metrics registry: {!Frame.sound} (and
+    {!Frame.minimal_core}'s checks) under [soundness.subset_checks];
+    {!Frame.first_witness}, {!Frame.witness_count} and {!Frame.witnesses}
+    under [soundness.witness_scans]; each {!Frame.make} under
+    [soundness.frames]. A frame owns two scratch rows, so it belongs to
+    one call on one domain. *)
 module Frame : sig
   type t = private {
     tasks : Spec.task array;  (** member [i] is [tasks.(i)]; increasing *)
@@ -89,6 +82,9 @@ module Frame : sig
   val size : t -> int
   (** m, the number of members. *)
 
+  val task : t -> int -> Spec.task
+  (** The task of a member. *)
+
   val empty : t -> set
 
   val singleton : t -> int -> set
@@ -108,13 +104,33 @@ module Frame : sig
   (** The set's tasks, increasing. *)
 
   val sound : t -> set -> bool
-  (** {!subset_sound} of the set's tasks. *)
+  (** Is the set sound as a composite task (Def 2.3)? The empty set and
+      singletons are. No allocation. *)
 
   val first_witness : t -> set -> (int * int) option
-  (** The head of {!subset_witnesses} of the set's tasks, as members: the
-      first input (in task order) missing some output, and the first output
-      it misses. [None] iff the set is sound; only that answer is
-      allocation-free. *)
+  (** The head of {!witnesses}: the first input (in task order) missing
+      some output, and the first output it misses. [None] iff the set is
+      sound; only that answer is allocation-free. *)
+
+  val witness_count : t -> set -> int
+  (** The number of violating pairs: the sum over inputs x of
+      popcount(out(U) ∖ reach(x)). 0 iff the set is sound. *)
+
+  val witnesses : t -> set -> (int * int) list
+  (** The violating pairs [(x, y)], as members: [x ∈ in], [y ∈ out] and no
+      path [x ⇝ y]; inputs increasing, then outputs increasing. Empty iff
+      the set is sound. *)
+
+  val minimal_core : t -> set -> set option
+  (** A 1-minimal unsound subset of the set: removing any one member makes
+      it sound. [None] when the set is sound. Deletion-greedy: each pass
+      tries dropping the members in increasing order, and passes repeat
+      until one removes nothing — O(m²) checks, a few in practice. *)
+
+  val lanes : t -> set -> int
+  (** The weakly-connected components of the reachability relation among
+      the set's members (two members are joined when one reaches the
+      other, possibly through tasks outside the frame). *)
 
   val preds_outside : t -> int -> set -> int list option
   (** [preds_outside fr x u]: [None] when member [x] has a predecessor
@@ -137,15 +153,33 @@ type unsoundness_kind =
 
 val pp_unsoundness_kind : Format.formatter -> unsoundness_kind -> unit
 
+val kind_of_lanes : int -> unsoundness_kind
+(** [Parallel_lanes k] for [k ≥ 2] lanes ({!Frame.lanes} of an unsound
+    set), [Entangled] otherwise. *)
+
+(** {1 Single checks}
+
+    Each builds one {!Frame} over the given tasks and decides on it. *)
+
+val subset_sound : Spec.t -> Wolves_graph.Bitset.t -> bool
+(** Is the subset sound as a composite task (Def 2.3)? Singletons and the
+    full task set are always sound. *)
+
+val subset_witnesses :
+  Spec.t -> Wolves_graph.Bitset.t -> (Spec.task * Spec.task) list
+(** The violating pairs: [(ti, to)] with [ti ∈ in], [to ∈ out] and no path
+    [ti ⇝ to], inputs increasing, then outputs increasing. Empty iff the
+    subset is sound. *)
+
 val classify_unsound : Spec.t -> Wolves_graph.Bitset.t -> unsoundness_kind option
-(** [None] when the subset is sound. Lanes are the weakly-connected
-    components of the member-induced reachability relation. *)
+(** [None] when the subset is sound, else the {!kind_of_lanes} of its
+    {!Frame.lanes}. *)
 
 val minimal_unsound_core : Spec.t -> Wolves_graph.Bitset.t -> Wolves_graph.Bitset.t option
-(** A minimal unsound subset of the given set: every task of the result is
-    necessary (removing any one makes it sound). [None] when the input is
-    already sound. Deletion-greedy, O(n²) soundness checks; the core is what
-    the CLI shows users as the {e explanation} of an unsound composite. *)
+(** {!Frame.minimal_core} of the set: every task of the result is necessary
+    (removing any one makes it sound). [None] when the input is already
+    sound. The core is what the CLI shows users as the {e explanation} of
+    an unsound composite. *)
 
 val composite_io : View.t -> View.composite -> io
 
@@ -153,23 +187,29 @@ val composite_sound : View.t -> View.composite -> bool
 
 val composite_witnesses :
   View.t -> View.composite -> (Spec.task * Spec.task) list
+(** {!subset_witnesses} of the composite's members: what the CLI prints
+    for an unsound composite. *)
 
 (** Result of validating a whole view. *)
 type report = {
   view : View.t;
-  unsound : (View.composite * (Spec.task * Spec.task) list) list;
-      (** Unsound composites with their violating pairs, by composite id. *)
+  unsound : (View.composite * int) list;
+      (** Unsound composites with their numbers of violating pairs, by
+          composite id; {!composite_witnesses} lists the pairs. *)
 }
 
 val validate : ?domains:int -> View.t -> report
 (** Check every composite (Proposition 2.1). Polynomial: one reachability
-    index build plus O(Σ |T.in|·|T.out|) probes.
+    index build plus one {!Frame} and one {!Frame.witness_count} per
+    composite of two or more members (singletons are sound), each
+    O(m²) word probes for a composite of m members.
 
-    Composite checks are independent, so with [domains] above 1 (default
-    [Wolves_par.Par.default_domains]) they are farmed across a domain pool:
-    the closure is forced up front, workers record their metrics straight
+    Composite checks are independent, so they are farmed across the
+    {!Wolves_par.Par} pool at [domains] (default
+    [Wolves_par.Par.default_domains]; one domain runs them inline): the
+    closure is forced up front, workers record their metrics straight
     into the shared registry (counter totals match the sequential run), and
-    the report is identical to the sequential one at every domain count. *)
+    the report is identical at every domain count. *)
 
 val is_sound : View.t -> bool
 

@@ -103,6 +103,9 @@ val bits_per_word : int
 val lowest_bit : int -> int
 (** Index of the lowest set bit of a nonzero word. *)
 
+val popcount : int -> int
+(** Number of set bits of a word. *)
+
 val gather_into : t -> int array -> into:int array -> off:int -> unit
 (** [gather_into s positions ~into ~off] sets bit [k] of the packed word
     vector that starts at word [off] of [into] when [positions.(k)] is in

@@ -3,7 +3,6 @@ module D = Diagnostic
 module S = Wolves_core.Soundness
 module C = Wolves_core.Corrector
 module Wfdsl = Wolves_lang.Wfdsl
-module Bitset = Wolves_graph.Bitset
 module Metrics = Wolves_obs.Metrics
 module Flow = Wolves_analysis.Flow
 module Annot = Wolves_analysis.Annot
@@ -410,67 +409,40 @@ let check_dead_data ctx =
 
 (* --- view-level rules --- *)
 
-(* Unsound composites (Prop 2.1): reported with the minimal unsound core
-   and one witness (t_in, t_out) pair taken from that core — the smallest
-   explanation of the defect. Fixed by the strong corrector. *)
+(* Unsound composites (Prop 2.1): reported with the composite's lane
+   class, its minimal unsound core and one witness (t_in, t_out) pair taken
+   from that core — the smallest explanation of the defect — all decided on
+   one frame over its members. Fixed by the strong corrector. *)
 let check_unsound ctx =
   let report = Lazy.force ctx.report in
   List.map
-    (fun (c, witnesses) ->
+    (fun (c, _) ->
       let cname = View.composite_name ctx.t.view c in
-      let members = View.members ctx.t.view c in
-      let set = Bitset.of_list (Spec.n_tasks ctx.spec) members in
-      let core = S.minimal_unsound_core ctx.spec set in
-      let core_tasks =
-        match core with
-        | Some core -> Bitset.elements core
-        | None -> []
-      in
-      let witness =
-        match core with
-        | Some core ->
-          (match S.subset_witnesses ctx.spec core with
-           | pair :: _ -> Some pair
-           | [] -> None)
-        | None -> None
-      in
-      let witness =
-        match (witness, witnesses) with
-        | Some pair, _ -> Some pair
-        | None, pair :: _ -> Some pair
-        | None, [] -> None
-      in
-      let kind =
-        match S.classify_unsound ctx.spec set with
-        | Some k -> Format.asprintf " (%a)" S.pp_unsoundness_kind k
-        | None -> ""
-      in
-      let witness_text, witness_related =
-        match witness with
-        | None -> ("", [])
-        | Some (ti, to_) ->
-          let ni = task_name ctx ti and no = task_name ctx to_ in
-          ( Printf.sprintf ": input %S cannot reach output %S" ni no,
-            [ related ctx (D.Task ni) "input with no path to the output";
-              related ctx (D.Task no) "output the input cannot reach" ] )
-      in
-      let core_text =
-        match core_tasks with
-        | [] -> ""
-        | ts ->
-          Printf.sprintf "; minimal unsound core: {%s}"
-            (String.concat ", " (List.map (task_name ctx) ts))
-      in
+      let fr = S.Frame.make ctx.spec (View.members ctx.t.view c) in
+      let all = S.Frame.full fr in
+      (* The report found the composite unsound, so it has a core, and an
+         unsound core has a witness. *)
+      let core = Option.get (S.Frame.minimal_core fr all) in
+      let ti, to_ = Option.get (S.Frame.first_witness fr core) in
+      let core_tasks = S.Frame.tasks fr core in
+      let ni = task_name ctx (S.Frame.task fr ti)
+      and no = task_name ctx (S.Frame.task fr to_) in
       { D.rule = "view/unsound-composite";
         severity = D.Error;
         location = loc ctx (D.Composite cname);
         message =
           Printf.sprintf
-            "composite %S is unsound%s%s%s — view-level provenance over it \
+            "composite %S is unsound (%s): input %S cannot reach output %S; \
+             minimal unsound core: {%s} — view-level provenance over it \
              reports spurious dependencies"
-            cname kind witness_text core_text;
+            cname
+            (Format.asprintf "%a" S.pp_unsoundness_kind
+               (S.kind_of_lanes (S.Frame.lanes fr all)))
+            ni no
+            (String.concat ", " (List.map (task_name ctx) core_tasks));
         related =
-          witness_related
+          [ related ctx (D.Task ni) "input with no path to the output";
+            related ctx (D.Task no) "output the input cannot reach" ]
           @ List.map
               (fun t ->
                 related ctx (D.Task (task_name ctx t))

@@ -168,14 +168,14 @@ let correct_all ?(config = Corrector.default_config) criterion repo =
   let repo' = create () in
   List.iter
     (fun e ->
-      if Soundness.is_sound e.view then
-        ignore (add repo' ~id:e.id ~origin:e.origin e.spec e.view)
-      else begin
+      (* [correct] validates the view: no outcomes means it is sound, and
+         the original entry is kept as it is. *)
+      match Corrector.correct ~config criterion e.view with
+      | _, [] -> ignore (add repo' ~id:e.id ~origin:e.origin e.spec e.view)
+      | corrected, _ ->
         incr repaired;
-        let corrected, _ = Corrector.correct ~config criterion e.view in
         ignore
-          (add repo' ~id:e.id ~origin:(e.origin ^ "+corrected") e.spec corrected)
-      end)
+          (add repo' ~id:e.id ~origin:(e.origin ^ "+corrected") e.spec corrected))
     (entries repo);
   (repo', !repaired)
 

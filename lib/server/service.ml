@@ -100,7 +100,7 @@ let validate_lines ~domains view =
       (fun (c, witnesses) ->
         Printf.sprintf "unsound %s witnesses %d"
           (View.composite_name view c)
-          (List.length witnesses))
+          witnesses)
       report.Soundness.unsound
 
 (* Correction replies never include wall-clock readings: with the modeled

@@ -7,6 +7,7 @@ open Wolves_workflow
 module Bitset = Wolves_graph.Bitset
 module S = Wolves_core.Soundness
 module C = Wolves_core.Corrector
+module Ref = Def23_reference
 module Q = Wolves_core.Quality
 module E = Wolves_core.Estimator
 module H = Wolves_core.Hardness
@@ -37,12 +38,14 @@ let test_fig1_validator () =
   let spec, view = Examples.figure1 () in
   let report = S.validate view in
   check_int "exactly one unsound composite" 1 (List.length report.S.unsound);
-  let c, witnesses = List.hd report.S.unsound in
+  let c, count = List.hd report.S.unsound in
   Alcotest.(check string) "it is composite 16" "16:Align Sequences"
     (View.composite_name view c);
   (* The paper's witness: no path from 4 in 16.in to 7 in 16.out. *)
   let t4 = Spec.task_of_name_exn spec "4:Curate Annotations" in
   let t7 = Spec.task_of_name_exn spec "7:Create Alignment" in
+  let witnesses = S.composite_witnesses view c in
+  check_int "the report counts the witnesses" (List.length witnesses) count;
   check_bool "paper witness (4, 7) present" true (List.mem (t4, t7) witnesses);
   check_bool "whole view unsound" false (S.is_sound view)
 
@@ -97,7 +100,7 @@ let test_prop21_gap () =
   check_bool "Def 2.1 holds" true (S.preserves_paths view);
   check_bool "but a composite is unsound" false (S.is_sound view);
   match (S.validate view).S.unsound with
-  | [ (c, [ _witness ]) ] ->
+  | [ (c, 1) ] ->
     Alcotest.(check string) "it is T" "T" (View.composite_name view c)
   | _ -> Alcotest.fail "expected exactly T with one witness"
 
@@ -261,16 +264,16 @@ let test_fig3_counts () =
   check_bool "strong certified" true strong.C.certified_strong;
   (* Every split is a valid split into sound parts. *)
   List.iter
-    (fun o -> check_bool "valid split" true (C.Oracle.valid_split spec members o.C.parts))
+    (fun o -> check_bool "valid split" true (Ref.Oracle.valid_split spec members o.C.parts))
     [ weak; strong; optimal ];
   (* Definitional optimality of the outputs. *)
   check_bool "weak output weakly optimal" true
-    (C.Oracle.weakly_local_optimal spec weak.C.parts);
+    (Ref.Oracle.weakly_local_optimal spec weak.C.parts);
   Alcotest.(check (option bool)) "strong output strongly optimal" (Some true)
-    (C.Oracle.strongly_local_optimal spec strong.C.parts);
+    (Ref.Oracle.strongly_local_optimal spec strong.C.parts);
   (* And the weak output is NOT strongly optimal — the paper's point. *)
   Alcotest.(check (option bool)) "weak output not strongly optimal" (Some false)
-    (C.Oracle.strongly_local_optimal spec weak.C.parts)
+    (Ref.Oracle.strongly_local_optimal spec weak.C.parts)
 
 (* outcome.checks counts only full soundness decisions; the subset DP's
    bit-parallel mask evaluations and the anytime search's partial pruning
@@ -371,7 +374,7 @@ let test_deadline_tiers () =
   check_bool "strong was abandoned" true (zero.C.abandoned = Some C.Strong);
   check_bool "not proven optimal" false zero.C.proven_optimal;
   check_bool "weak floor still a valid sound split" true
-    (C.Oracle.valid_split spec members zero.C.result.C.parts);
+    (Ref.Oracle.valid_split spec members zero.C.result.C.parts);
   (* 1 ms budget: the weak tier's 77 checks already cost 7.7 ms in the
      modeled budget, so the strong refinement is deterministically cut —
      this PR's acceptance gate for [correct --deadline 1]. *)
@@ -406,7 +409,7 @@ let test_deadline_spent_precharge () =
   check_bool "strong abandoned under full pre-charge" true
     (pre.C.abandoned = Some C.Strong);
   check_bool "pre-charged floor still a valid sound split" true
-    (C.Oracle.valid_split spec members pre.C.result.C.parts);
+    (Ref.Oracle.valid_split spec members pre.C.result.C.parts);
   (* An explicit zero pre-charge is the default behaviour. *)
   let zero = C.with_deadline ~deadline_s:60.0 ~spent_s:0.0 spec members in
   check_bool "zero pre-charge reaches optimal" true (zero.C.tier = C.Optimal);
@@ -458,7 +461,7 @@ let test_strong_gap_instance () =
     strong.C.certified_strong;
   Alcotest.(check (option bool)) "oracle agrees it is strongly optimal"
     (Some true)
-    (C.Oracle.strongly_local_optimal spec strong.C.parts);
+    (Ref.Oracle.strongly_local_optimal spec strong.C.parts);
   check_int "but the true minimum is 2" 2 (List.length optimal.C.parts);
   (* The B&B prover finds the same minimum. *)
   let bb, proven = C.split_subset_anytime spec members in
@@ -680,8 +683,8 @@ let prop_weak_is_weakly_optimal =
     (fun input ->
       let spec, members = instance_of input in
       let o = C.split_subset C.Weak spec members in
-      C.Oracle.valid_split spec members o.C.parts
-      && C.Oracle.weakly_local_optimal spec o.C.parts)
+      Ref.Oracle.valid_split spec members o.C.parts
+      && Ref.Oracle.weakly_local_optimal spec o.C.parts)
 
 let prop_strong_is_strongly_optimal =
   QCheck2.Test.make ~name:"strong corrector output is strongly local optimal"
@@ -689,8 +692,8 @@ let prop_strong_is_strongly_optimal =
     (fun input ->
       let spec, members = instance_of input in
       let o = C.split_subset C.Strong spec members in
-      C.Oracle.valid_split spec members o.C.parts
-      && C.Oracle.strongly_local_optimal spec o.C.parts = Some true)
+      Ref.Oracle.valid_split spec members o.C.parts
+      && Ref.Oracle.strongly_local_optimal spec o.C.parts = Some true)
 
 (* Certification by completeness. A strong split is certified when its
    final closure round found no combinable parts without any seed running
@@ -747,9 +750,9 @@ let prop_certified_by_completeness =
         let config = { C.default_config with C.branch_budget = budget } in
         let o = C.split_subset ~config C.Strong spec members in
         if budget = 0 && not o.C.certified_strong then incr uncertified_at_0;
-        C.Oracle.valid_split spec members o.C.parts
+        Ref.Oracle.valid_split spec members o.C.parts
         &&
-        match C.Oracle.strongly_local_optimal ~max_parts:18 spec o.C.parts with
+        match Ref.Oracle.strongly_local_optimal ~max_parts:18 spec o.C.parts with
         | Some false -> not o.C.certified_strong
         | Some true | None -> true
       in
@@ -770,7 +773,7 @@ let prop_part_count_ordering =
       and s = List.length strong.C.parts
       and o = List.length optimal.C.parts in
       o <= s && s <= w
-      && C.Oracle.valid_split spec members optimal.C.parts)
+      && Ref.Oracle.valid_split spec members optimal.C.parts)
 
 let prop_corrected_views_sound =
   QCheck2.Test.make ~name:"correct() produces a sound view" ~count:100
@@ -862,9 +865,9 @@ let test_oracle_max_parts_overflow () =
   in
   check_bool "max_parts = 64 refused" true
     (refused_naming "max_parts" (fun () ->
-         C.Oracle.strongly_local_optimal ~max_parts:64 spec parts63));
+         Ref.Oracle.strongly_local_optimal ~max_parts:64 spec parts63));
   check_bool "the 63-part split is past any accepted max_parts" true
-    (C.Oracle.strongly_local_optimal ~max_parts:S.Frame.max_parts spec parts63
+    (Ref.Oracle.strongly_local_optimal ~max_parts:S.Frame.max_parts spec parts63
      = None)
 
 let test_optimal_max_tasks_overflow () =
@@ -900,10 +903,17 @@ let frame_set fr idxs =
   List.iter (fun i -> F.union_into ~into:u (F.singleton fr i)) idxs;
   u
 
+(* Every frame evaluation against the list-based reference
+   (Def23_reference): the verdict, the first witness, the witness count
+   and the pairs in order, the frame-backed [subset_sound] and
+   [subset_witnesses], the lanes, and the minimal core — unsound,
+   1-minimal, and (on the whole member set) the one the reference's
+   deletion loop finds. QCHECK_LONG=1 runs 6,000 cases. *)
 let prop_frame_matches_reference =
   QCheck2.Test.make
-    ~name:"frame soundness and first witness = subset_sound / subset_witnesses"
-    ~count:200
+    ~name:"frame soundness and first witness, counts, pairs, cores and \
+           lanes = the list reference"
+    ~count:200 ~long_factor:30
     ~print:(fun (seed, family, size, k) ->
       Printf.sprintf "seed %d, %s, %d tasks, %d members" seed
         (Gen.family_name family) size k)
@@ -922,18 +932,37 @@ let prop_frame_matches_reference =
       let index = Hashtbl.create m in
       List.iteri (fun i t -> Hashtbl.replace index t i) members;
       let tasks_of u = Bitset.of_list n (F.tasks fr u) in
+      let pair (x, y) = (F.task fr x, F.task fr y) in
+      let core_agrees u set =
+        match F.minimal_core fr u with
+        | None -> Ref.subset_sound spec set
+        | Some core ->
+          let core = tasks_of core in
+          Bitset.subset core set
+          && (not (Ref.subset_sound spec core))
+          && Bitset.for_all
+               (fun t ->
+                 let smaller = Bitset.copy core in
+                 Bitset.remove smaller t;
+                 Ref.subset_sound spec smaller)
+               core
+      in
       let agrees u =
         let set = tasks_of u in
-        let witness =
-          Option.map
-            (fun (x, y) -> (fr.F.tasks.(x), fr.F.tasks.(y)))
-            (F.first_witness fr u)
-        in
-        F.sound fr u = S.subset_sound spec set
-        && witness
-           = (match S.subset_witnesses spec set with
-              | [] -> None
-              | w :: _ -> Some w)
+        let witnesses = Ref.subset_witnesses spec set in
+        F.sound fr u = Ref.subset_sound spec set
+        && Option.map pair (F.first_witness fr u)
+           = (match witnesses with [] -> None | w :: _ -> Some w)
+        && F.witness_count fr u = List.length witnesses
+        && List.map pair (F.witnesses fr u) = witnesses
+        && S.subset_sound spec set = (witnesses = [])
+        && S.subset_witnesses spec set = witnesses
+        && F.lanes fr u = Ref.lanes spec set
+        && core_agrees u set
+      in
+      let same_core u =
+        Option.map (F.tasks fr) (F.minimal_core fr u)
+        = Option.map Bitset.elements (Ref.minimal_core spec (tasks_of u))
       in
       let random_subset density =
         frame_set fr
@@ -976,6 +1005,7 @@ let prop_frame_matches_reference =
         @ weak @ pairs
       in
       List.for_all agrees subsets
+      && List.for_all same_core (F.full fr :: pairs)
       && List.for_all
            (fun u -> outside_agrees u (Wolves_workload.Prng.int rng m))
            subsets)
@@ -1082,6 +1112,90 @@ let test_outcome_identity () =
   if digest <> expected then print_string text;
   Alcotest.(check string) "outcome digest" expected digest
 
+(* ------------------------------------------------------------------ *)
+(* Explanation identity: what the validator and the linter print       *)
+(* ------------------------------------------------------------------ *)
+
+module Service = Wolves_server.Service
+module Protocol = Wolves_server.Protocol
+module Lint = Wolves_lint.Lint
+
+let lint_fixtures () =
+  let dir = "fixtures/lint" in
+  List.map (Filename.concat dir)
+    (List.sort compare
+       (List.filter
+          (fun f -> Filename.check_suffix f ".wf")
+          (Array.to_list (Sys.readdir dir))))
+
+(* Renders, for the identity corpus and every lint fixture: the validator's
+   report, each unsound composite's minimal core and class, the VALIDATE,
+   LINT, ANALYZE and [QUERY id unsound] replies, and lint's JSON and SARIF
+   output. *)
+let render_explanations () =
+  let buf = Buffer.create (1 lsl 20) in
+  let render service id view diagnostics =
+    let spec = View.spec view in
+    let report = S.validate view in
+    Printf.bprintf buf "view %s\n%s\n" id
+      (Format.asprintf "%a" S.pp_report report);
+    List.iter
+      (fun (c, _) ->
+        let set = Bitset.of_list (Spec.n_tasks spec) (View.members view c) in
+        Printf.bprintf buf "composite %d core {%s} class %s\n" c
+          (match S.minimal_unsound_core spec set with
+           | None -> "-"
+           | Some core -> String.concat ", " (names spec (Bitset.elements core)))
+          (match S.classify_unsound spec set with
+           | None -> "-"
+           | Some k -> Format.asprintf "%a" S.pp_unsoundness_kind k))
+      report.S.unsound;
+    List.iter
+      (fun request ->
+        Buffer.add_string buf (Protocol.render (Service.handle service request)))
+      [ Protocol.Validate id; Protocol.Lint id; Protocol.Analyze id;
+        Protocol.Query (id, "unsound") ];
+    match diagnostics with
+    | Ok ds ->
+      Buffer.add_string buf
+        (Wolves_cli.Json.to_string ~pretty:true (Lint.to_json ds));
+      Buffer.add_string buf (Wolves_lint.Sarif.report ds)
+    | Error msg -> Printf.bprintf buf "lint error: %s\n" msg
+  in
+  let corpus = identity_corpus () in
+  let service = Service.load corpus in
+  List.iter (fun (id, view) -> render service id view (Ok (Lint.run view))) corpus;
+  let paths = lint_fixtures () in
+  (match Service.of_files paths with
+   | Error msg -> Alcotest.failf "lint fixtures: %s" msg
+   | Ok service ->
+     List.iter
+       (fun path ->
+         let id = Filename.remove_extension (Filename.basename path) in
+         render service id
+           (Option.get (Service.find service id))
+           (Lint.run_file path))
+       paths);
+  Buffer.contents buf
+
+(* [dune runtest] runs the suite in the test directory, [dune exec
+   test/test_core.exe] at the repository root. The fixtures' paths are part
+   of the lint output, so they are always read from the test directory. *)
+let in_test_dir f =
+  if Sys.file_exists "fixtures/lint" then f ()
+  else begin
+    let cwd = Sys.getcwd () in
+    Sys.chdir "test";
+    Fun.protect ~finally:(fun () -> Sys.chdir cwd) f
+  end
+
+let test_explanation_identity () =
+  let expected = "6d9203e7ed9fff9587cce49b82fe566d" in
+  let text = in_test_dir render_explanations in
+  let digest = Digest.to_hex (Digest.string text) in
+  if digest <> expected then print_string text;
+  Alcotest.(check string) "explanation digest" expected digest
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "wolves_core"
@@ -1108,7 +1222,10 @@ let () =
           qt prop_frame_matches_reference;
           qt prop_minimal_core_is_minimal;
           qt prop_sound_view_preserves_paths;
-          qt prop_sound_views_acyclic ] );
+          qt prop_sound_views_acyclic;
+          Alcotest.test_case "explanation identity over the template corpus \
+                              and the lint fixtures" `Slow
+            test_explanation_identity ] );
       ( "corrector",
         [ Alcotest.test_case "figure 3: weak 8, strong 5, optimal 5" `Quick
             test_fig3_counts;

@@ -142,7 +142,20 @@ let test_repo_audit_and_correct () =
   let corrected_repo, repaired = R.correct_all C.Strong repo in
   check_int "repaired = unsound count" audit.R.unsound_views repaired;
   let audit' = R.audit corrected_repo in
-  check_int "everything sound after correction" 0 audit'.R.unsound_views
+  check_int "everything sound after correction" 0 audit'.R.unsound_views;
+  (* Sound entries are kept as they are; only corrected ones change
+     origin. *)
+  List.iter
+    (fun a ->
+      let e = a.R.entry in
+      let e' = Option.get (R.find corrected_repo e.R.id) in
+      if a.R.unsound_composites = 0 then
+        check_bool "sound entry kept" true
+          (e'.R.view == e.R.view && e'.R.origin = e.R.origin)
+      else
+        check_bool "corrected entry marked" true
+          (e'.R.origin = e.R.origin ^ "+corrected"))
+    audit.R.per_entry
 
 let test_repo_persistence () =
   let repo = R.synthesize ~seed:7 ~per_cell:1 ~sizes:[ 12 ] () in

@@ -5,6 +5,7 @@
 open Wolves_workflow
 module S = Wolves_core.Soundness
 module C = Wolves_core.Corrector
+module Ref = Def23_reference
 module Session = Wolves_core.Session
 module Bitset = Wolves_graph.Bitset
 module Reach = Wolves_graph.Reach
@@ -213,7 +214,7 @@ let test_anytime_fig3 () =
   let outcome, proven = C.split_subset_anytime spec members in
   check_bool "proven optimal" true proven;
   check_int "5 parts like the DP" 5 (List.length outcome.C.parts);
-  check_bool "valid split" true (C.Oracle.valid_split spec members outcome.C.parts)
+  check_bool "valid split" true (Ref.Oracle.valid_split spec members outcome.C.parts)
 
 let test_anytime_budget () =
   (* A widish instance with a tiny budget: must return a valid (incumbent)
@@ -222,7 +223,7 @@ let test_anytime_budget () =
   let outcome, proven = C.split_subset_anytime ~node_budget:10 spec members in
   check_bool "budget exhausted" false proven;
   check_bool "still a valid split" true
-    (C.Oracle.valid_split spec members outcome.C.parts);
+    (Ref.Oracle.valid_split spec members outcome.C.parts);
   check_int "incumbent = strong result" 2 (List.length outcome.C.parts)
 
 let prop_anytime_matches_dp =
@@ -240,7 +241,7 @@ let prop_anytime_matches_dp =
       let bb, proven = C.split_subset_anytime spec members in
       proven
       && List.length bb.C.parts = List.length dp.C.parts
-      && C.Oracle.valid_split spec members bb.C.parts)
+      && Ref.Oracle.valid_split spec members bb.C.parts)
 
 (* ------------------------------------------------------------------ *)
 (* Mixed resolution                                                     *)
@@ -303,7 +304,7 @@ let test_strong_closure_branches () =
   let members = List.map (Spec.task_of_name_exn spec) [ "p"; "x"; "y"; "q" ] in
   let strong = C.split_subset C.Strong spec members in
   check_bool "certified" true strong.C.certified_strong;
-  check_bool "valid" true (C.Oracle.valid_split spec members strong.C.parts);
+  check_bool "valid" true (Ref.Oracle.valid_split spec members strong.C.parts);
   check_int "two chains" 2 (List.length strong.C.parts)
 
 
